@@ -45,6 +45,36 @@ from .runtime import CheckpointError, ConservationError
 from .sim import simulate
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors are one line on stderr, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _benchmark_name(name: str) -> str:
+    """argparse type for a benchmark argument: a registered Table II name."""
+    names = [b.name for b in all_benchmarks()]
+    if name not in names:
+        raise argparse.ArgumentTypeError(
+            f"unknown benchmark {name!r} (choose from: {', '.join(names)})"
+        )
+    return name
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a point budget: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
 def _parse_overrides(pairs: List[str]) -> Dict[str, object]:
     out: Dict[str, object] = {}
     for pair in pairs:
@@ -393,7 +423,7 @@ def cmd_report(args, out, estimator: Optional[Estimator] = None) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="DHDL reproduction: estimate, explore, and generate "
         "FPGA accelerator designs (ISCA 2016).",
@@ -434,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list the Table II benchmarks")
 
     def add_bench(p):
-        p.add_argument("benchmark", help="benchmark name (see 'repro list')")
+        p.add_argument("benchmark", type=_benchmark_name,
+                       help="benchmark name (see 'repro list')")
 
     p = sub.add_parser("estimate", help="estimate one design point",
                        parents=[obs_flags, cache_flags])
@@ -445,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="design space exploration",
                        parents=[obs_flags, cache_flags])
     add_bench(p)
-    p.add_argument("--points", type=int, default=1000)
+    p.add_argument("--points", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--show", type=int, default=8,
                    help="Pareto points to print")
@@ -484,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("speedup", help="best design vs the CPU baseline",
                        parents=[obs_flags, cache_flags])
     add_bench(p)
-    p.add_argument("--points", type=int, default=1000)
+    p.add_argument("--points", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--sim-trace", metavar="FILE.json",
                    help="write a simulated-time Chrome trace of the best "
@@ -511,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="consolidated evaluation report",
                        parents=[cache_flags])
-    p.add_argument("--points", type=int, default=400,
+    p.add_argument("--points", type=_positive_int, default=400,
                    help="DSE budget per benchmark")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for the report's DSE sweeps")

@@ -114,11 +114,17 @@ class ExplorationResult:
 
     def pareto_sample(self, count: int) -> List[DesignPoint]:
         """Evenly spaced selection of ``count`` Pareto points (Table III
-        evaluates five Pareto points per benchmark)."""
+        evaluates five Pareto points per benchmark).
+
+        The fastest point always comes first; from two points on, the
+        smallest comes last. ``count <= 0`` selects nothing.
+        """
         front = self.pareto
+        if count <= 0:
+            return []
         if len(front) <= count:
             return front
-        step = (len(front) - 1) / (count - 1)
+        step = (len(front) - 1) / max(count - 1, 1)
         return [front[round(i * step)] for i in range(count)]
 
 

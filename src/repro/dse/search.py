@@ -154,4 +154,5 @@ def local_search(
                     break
         if result.evaluations == evals_before:
             break  # everything reachable is cached; stop cleanly
+    point_cache.publish()
     return result

@@ -8,8 +8,9 @@ structure. This module exploits that redundancy without changing a
 single estimated bit:
 
 * :class:`LRUCache` — a bounded, fork-inheritable cache with local
-  hit/miss/evict statistics mirrored into :mod:`repro.obs` counters
-  (``estimation.cache.{hit,miss,evict}`` plus per-cache variants).
+  hit/miss/evict statistics, published into :mod:`repro.obs` counters
+  (``estimation.cache.{hit,miss,evict}`` plus per-cache variants) once
+  per estimator call or shard rather than on every lookup.
 * :class:`CachedTemplateModels` — a memoizing view over
   :class:`~repro.estimation.characterize.TemplateModels` keyed on
   ``(template key, canonical parameter tuple)``. Cache values are plain
@@ -60,14 +61,16 @@ DEFAULT_POINT_ENTRIES = 32_768
 class LRUCache:
     """Bounded least-recently-used cache with hit/miss/evict accounting.
 
-    Statistics are kept as plain integers (always on, fork-private) and
-    mirrored into :mod:`repro.obs` counters, which are no-ops unless the
-    caller enabled metrics — the hot path pays one flag check.
+    Statistics are kept as plain integers (always on, fork-private); a
+    lookup touches nothing else. :meth:`publish` pushes the counts accrued
+    since the previous publish into :mod:`repro.obs` counters — the
+    estimator calls it once per ``estimate``/``estimate_many`` call and
+    the DSE runner once per shard.
     """
 
     __slots__ = (
         "name", "maxsize", "hits", "misses", "evictions", "_data",
-        "_hit_names", "_miss_names", "_evict_names",
+        "_published", "_hit_names", "_miss_names", "_evict_names",
     )
 
     def __init__(self, name: str, maxsize: int) -> None:
@@ -79,6 +82,7 @@ class LRUCache:
         self.misses = 0
         self.evictions = 0
         self._data: "OrderedDict[object, object]" = OrderedDict()
+        self._published = (0, 0, 0)  # (hits, misses, evictions) at publish
         prefix = "estimation.cache"
         self._hit_names = (f"{prefix}.hit", f"{prefix}.{name}.hit")
         self._miss_names = (f"{prefix}.miss", f"{prefix}.{name}.miss")
@@ -91,13 +95,9 @@ class LRUCache:
             value = data[key]
         except KeyError:
             self.misses += 1
-            for name in self._miss_names:
-                obs.counter(name).inc()
             return MISS
         data.move_to_end(key)
         self.hits += 1
-        for name in self._hit_names:
-            obs.counter(name).inc()
         return value
 
     def put(self, key: object, value: object) -> None:
@@ -109,8 +109,24 @@ class LRUCache:
         if len(data) > self.maxsize:
             data.popitem(last=False)
             self.evictions += 1
-            for name in self._evict_names:
-                obs.counter(name).inc()
+
+    def publish(self) -> None:
+        """Add the hits/misses/evictions since the last publish to obs.
+
+        Counts accrued while metrics are disabled are dropped, not held
+        back for a later publish, so a counter only ever covers lookups
+        made while metrics were on (up to one call's granularity).
+        """
+        now = (self.hits, self.misses, self.evictions)
+        last, self._published = self._published, now
+        if now == last or not obs.metrics_enabled():
+            return
+        for names, count, before in zip(
+            (self._hit_names, self._miss_names, self._evict_names), now, last
+        ):
+            if count != before:
+                for name in names:
+                    obs.counter(name).inc(count - before)
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
@@ -248,6 +264,11 @@ class EstimationCaches:
             info = compute_pipe_info(body)
             self.schedule.put(sig, info)
         return info  # type: ignore[return-value]
+
+    def publish(self) -> None:
+        """Publish every cache's new statistics (see :meth:`LRUCache.publish`)."""
+        for cache in self.caches():
+            cache.publish()
 
     def clear(self) -> None:
         """Empty every cache (statistics are kept)."""

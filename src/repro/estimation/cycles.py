@@ -177,12 +177,18 @@ def weighted_transfers(ctrl: Controller) -> int:
 
     A transfer inside a parallelized outer loop is instantiated once per
     replica, so it contributes its enclosing loops' parallelization product.
+    The count is structural, so it is memoized on the controller: the
+    cycles pass asks for it once per enclosing stage.
     """
-    if isinstance(ctrl, TileTransfer):
-        return 1
-    total = sum(weighted_transfers(c) for c in ctrl.stages)
-    if not isinstance(ctrl, Pipe) and ctrl.par > 1:
-        total *= ctrl.par
+    total = getattr(ctrl, "_weighted_transfers", None)
+    if total is None:
+        if isinstance(ctrl, TileTransfer):
+            total = 1
+        else:
+            total = sum(weighted_transfers(c) for c in ctrl.stages)
+            if not isinstance(ctrl, Pipe) and ctrl.par > 1:
+                total *= ctrl.par
+        ctrl._weighted_transfers = total
     return total
 
 
@@ -193,9 +199,8 @@ def _overlap_contention(
 
     All of ``parent``'s transfer instances (across stages and replicas) are
     active concurrently; the child's own single instance is excluded — the
-    leaf adds itself back.
+    leaf adds itself back. ``parent`` is a MetaPipe or Parallel, so its
+    instance count ``par * sum(stage streams)`` is exactly
+    :func:`weighted_transfers` of ``parent``.
     """
-    all_instances = parent.par * sum(
-        weighted_transfers(c) for c in parent.stages
-    )
-    return contention + all_instances - weighted_transfers(child)
+    return contention + weighted_transfers(parent) - weighted_transfers(child)

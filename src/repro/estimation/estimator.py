@@ -61,7 +61,9 @@ class Estimator:
     memoizes template predictions, Pipe schedules, and whole design
     points across estimates. Cached results are bit-identical to the
     cold path; pass ``cache=False`` (the ``--no-cache`` CLI flag) to
-    estimate from scratch every time.
+    estimate from scratch every time. Cache statistics reach the
+    ``estimation.cache.*`` obs counters at the end of every estimating
+    method call, not per lookup.
     """
 
     def __init__(
@@ -97,20 +99,28 @@ class Estimator:
 
     def estimate_cycles(self, design: Design) -> CycleEstimate:
         """Runtime estimate only (paper Section IV-B1)."""
-        return estimate_cycles(design, self.board, self.caches)
+        cycles = estimate_cycles(design, self.board, self.caches)
+        self._publish_cache_stats()
+        return cycles
 
     def estimate_area(self, design: Design) -> AreaEstimate:
         """Hybrid area estimate only (paper Section IV-B2)."""
-        return hybrid_area(
+        area = hybrid_area(
             design, self.templates, self.corrections, self.board, self.caches
         )
+        self._publish_cache_stats()
+        return area
 
     def estimate(self, design: Design) -> Estimate:
         """Complete design-point estimate: cycles plus area."""
         with obs.timed("estimate", "estimate.latency_s", design=design.name):
             obs.counter("estimate.calls").inc()
-            cycles = self.estimate_cycles(design)
-            area = self.estimate_area(design)
+            cycles = estimate_cycles(design, self.board, self.caches)
+            area = hybrid_area(
+                design, self.templates, self.corrections, self.board,
+                self.caches,
+            )
+        self._publish_cache_stats()
         return Estimate(
             design_name=design.name,
             cycles=cycles.total,
@@ -133,8 +143,7 @@ class Estimator:
         with obs.timed(
             "estimate.batch", "estimate.batch_latency_s", batch=len(designs)
         ):
-            for _ in designs:
-                obs.counter("estimate.calls").inc()
+            obs.counter("estimate.calls").inc(len(designs))
             cycles = [
                 estimate_cycles(d, self.board, self.caches) for d in designs
             ]
@@ -142,6 +151,7 @@ class Estimator:
                 list(designs), self.templates, self.corrections,
                 self.board, self.caches,
             )
+        self._publish_cache_stats()
         return [
             Estimate(
                 design_name=design.name,
@@ -152,6 +162,11 @@ class Estimator:
             )
             for design, cyc, area in zip(designs, cycles, areas)
         ]
+
+    def _publish_cache_stats(self) -> None:
+        """Publish cache statistics into obs (once per estimating call)."""
+        if self.caches is not None:
+            self.caches.publish()
 
 
 @functools.lru_cache(maxsize=4)

@@ -85,6 +85,8 @@ class Controller(Node):
     """Base class for controller templates."""
 
     is_loop = False
+    #: Whether ``par`` replicates the body (False for Pipe: vector width).
+    replicates_body = True
 
     def __init__(
         self,
@@ -107,7 +109,13 @@ class Controller(Node):
         self.cchain = cchain
         self.par = par
         self.pattern = pattern
+        # Maintained by Design._register as nodes are created in this scope:
+        # ``children`` in program order, split into ``stages`` (child
+        # controllers / memory command generators) and ``body_prims``
+        # (primitive nodes directly inside this controller).
         self.children: List[Node] = []
+        self.stages: List["Controller"] = []
+        self.body_prims: List[Node] = []
         self.local_mems: List[OnChipMemory] = []
         self.result: Optional[Union[Value, OnChipMemory]] = None
         # (op, target memory) for cross-iteration accumulation — the paper's
@@ -115,18 +123,15 @@ class Controller(Node):
         self.accum: Optional[Tuple[str, OnChipMemory]] = None
         if cchain is not None:
             cchain.par = par
+        # Hardware copies of this controller's body: the enclosing copies
+        # times this controller's own outer-loop factor (paper Figure 3).
+        # Pipe parallelization is vector width instead, so it is excluded.
+        outer = self.parent.body_replication if self.parent is not None else 1
+        self.body_replication = (
+            outer * par if par > 1 and self.replicates_body else outer
+        )
 
     # -- structure -------------------------------------------------------------
-    @property
-    def stages(self) -> List["Controller"]:
-        """Child controllers / memory command generators, in program order."""
-        return [c for c in self.children if isinstance(c, Controller)]
-
-    @property
-    def body_prims(self) -> List[Node]:
-        """Primitive nodes directly inside this controller."""
-        return [c for c in self.children if not isinstance(c, Controller)]
-
     @property
     def iterations(self) -> int:
         """Number of (parallelized) iterations this controller executes."""
@@ -162,16 +167,7 @@ class Pipe(Controller):
     """
 
     is_loop = True
-
-    def __init__(
-        self,
-        design: "Design",
-        name: str,
-        cchain: Optional[CounterChain] = None,
-        par: int = 1,
-        pattern: str = "map",
-    ) -> None:
-        super().__init__(design, name, cchain, par, pattern)
+    replicates_body = False
 
 
 class MetaPipe(Controller):

@@ -5,6 +5,11 @@ built with concrete parameter values (metaprogramming, paper Section III):
 the same builder function called with different tile sizes, parallelization
 factors, and MetaPipe toggles yields different design instances.
 
+Construction records structure as it goes: each controller's ``stages``
+and ``body_prims`` lists, each on-chip memory's ``transfers``, and each
+controller's ``body_replication``. Finalization and estimation read these
+instead of rescanning the node list, so one design point costs O(nodes).
+
 Finalization derives the properties the paper's tools infer automatically:
 
 * vector widths of primitive nodes from enclosing Pipe parallelization;
@@ -19,7 +24,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .controllers import (
     Controller,
-    CounterChain,
     CounterIter,
     MetaPipe,
     Parallel,
@@ -67,13 +71,26 @@ class Design:
             self.finalize()
 
     def _register(self, node: Node) -> int:
+        """Record a new node in the design and in its scope's indexes."""
         nid = len(self.nodes)
         self.nodes.append(node)
-        scope = self._current_scope()
-        if scope is not None and _belongs_in_children(node):
-            scope.children.append(node)
-        elif scope is None and isinstance(node, Controller):
-            self.top_controllers.append(node)
+        scope = node.parent
+        if isinstance(node, Controller):
+            if scope is None:
+                self.top_controllers.append(node)
+            else:
+                scope.children.append(node)
+                scope.stages.append(node)
+        elif isinstance(node, (Value, StoreOp)):
+            # Loop iterators belong to their counter chain, not the body.
+            if scope is not None and not isinstance(node, CounterIter):
+                scope.children.append(node)
+                scope.body_prims.append(node)
+        elif isinstance(node, OnChipMemory):
+            if scope is None:
+                self.top_mems.append(node)
+            else:
+                scope.local_mems.append(node)
         return nid
 
     def _current_scope(self) -> Optional[Controller]:
@@ -175,9 +192,7 @@ class Design:
     def _infer_banking(self) -> None:
         for mem in self.onchip_mems():
             widths = [a.width for a in mem.readers + mem.writers]
-            for node in self.nodes:
-                if isinstance(node, TileTransfer) and node.bram is mem:
-                    widths.append(node.par)
+            widths += [t.par for t in mem.transfers]
             mem.banks = max(widths, default=1)
 
     def _infer_double_buffering(self) -> None:
@@ -198,13 +213,12 @@ class Design:
 
     def _validate(self) -> None:
         for ctrl in self.controllers():
-            if isinstance(ctrl, Pipe):
-                for child in ctrl.children:
-                    if isinstance(child, Controller):
-                        raise IRError(
-                            f"Pipe {ctrl.name!r} may contain only primitive "
-                            f"nodes, found {child.kind} {child.name!r}"
-                        )
+            if isinstance(ctrl, Pipe) and ctrl.stages:
+                child = ctrl.stages[0]
+                raise IRError(
+                    f"Pipe {ctrl.name!r} may contain only primitive "
+                    f"nodes, found {child.kind} {child.name!r}"
+                )
             if isinstance(ctrl, Parallel) and not ctrl.stages:
                 raise IRError(f"Parallel {ctrl.name!r} has no children")
             if isinstance(ctrl, (MetaPipe, Sequential)) and not ctrl.children:
@@ -236,13 +250,11 @@ class Design:
     # -- traversal -------------------------------------------------------------------
     def controllers(self) -> Iterator[Controller]:
         """All controllers, pre-order from the top."""
-        def walk(ctrl: Controller) -> Iterator[Controller]:
+        stack = self.top_controllers[::-1]
+        while stack:
+            ctrl = stack.pop()
             yield ctrl
-            for child in ctrl.stages:
-                yield from walk(child)
-
-        for top in self.top_controllers:
-            yield from walk(top)
+            stack += ctrl.stages[::-1]
 
     def pipes(self) -> Iterator[Pipe]:
         """All Pipe controllers, pre-order."""
@@ -307,18 +319,8 @@ def replication(node: Node) -> int:
     expressed as vector width on the body's primitive nodes, so Pipe
     factors are excluded here.
     """
-    factor = 1
-    for ctrl in node.ancestors():
-        if not isinstance(ctrl, Pipe) and ctrl.par > 1:
-            factor *= ctrl.par
-    return factor
-
-
-def _belongs_in_children(node: Node) -> bool:
-    """Nodes appended to their scope's ``children`` list."""
-    if isinstance(node, (OnChipMemory, OffChipMem, CounterChain, CounterIter)):
-        return False
-    return isinstance(node, (Controller, Value, StoreOp))
+    parent = node.parent
+    return parent.body_replication if parent is not None else 1
 
 
 def _check_index_count(mem: OnChipMemory, indices: Sequence[Value]) -> None:
@@ -341,15 +343,14 @@ def _accessor_stages(
     """
     stages: List[int] = []
     accessors: List[Node] = list(mem.writers if writers else mem.readers)
-    for node in mem.design.nodes:
-        if isinstance(node, TileLd) and node.bram is mem and writers:
-            accessors.append(node)
-        if isinstance(node, TileSt) and node.bram is mem and not writers:
-            accessors.append(node)
+    transfer_kind = TileLd if writers else TileSt
+    accessors += [t for t in mem.transfers if isinstance(t, transfer_kind)]
     for acc in accessors:
-        chain: List[Node] = [acc] + list(acc.ancestors())
-        for anc in chain:
-            if id(anc) in stage_index:
-                stages.append(stage_index[id(anc)])
+        node: Optional[Node] = acc
+        while node is not None:
+            stage = stage_index.get(id(node))
+            if stage is not None:
+                stages.append(stage)
                 break
+            node = node.parent
     return stages

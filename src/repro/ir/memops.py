@@ -68,6 +68,7 @@ class TileTransfer(Controller):
         self.bram = bram
         self.starts: List[Start] = list(starts)
         self.sizes: Tuple[int, ...] = tuple(sizes)
+        bram.transfers.append(self)
 
     @property
     def words(self) -> int:

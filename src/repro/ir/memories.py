@@ -8,7 +8,9 @@ Banking factors and double-buffering are *derived* properties: banking is
 computed from the vector widths of all accessors so on-chip bandwidth
 matches the parallelization, and buffers written in one MetaPipe stage and
 read in a later stage are double-buffered. Both are filled in by design
-finalization (:mod:`repro.ir.graph`).
+finalization (:mod:`repro.ir.graph`). The design records every on-chip
+buffer in its declaring scope's ``local_mems`` (or ``top_mems``) as the
+buffer is created.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .types import HWType
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import Design
+    from .memops import TileTransfer
     from .primitives import LoadOp, StoreOp
 
 
@@ -54,6 +57,9 @@ class OnChipMemory(Node):
         self.tp = tp
         self.readers: List["LoadOp"] = []
         self.writers: List["StoreOp"] = []
+        # TileLd/TileSt commands moving tiles into/out of this buffer, in
+        # program order (recorded by the transfer at construction).
+        self.transfers: List["TileTransfer"] = []
         # Derived during finalization:
         self.double_buffered = False
         self.banks = 1
@@ -92,11 +98,6 @@ class BRAM(OnChipMemory):
             raise IRError(f"unknown interleaving scheme {interleave!r}")
         self.dims: Tuple[int, ...] = tuple(int(d) for d in dims)
         self.interleave = interleave
-        scope = design._current_scope()
-        if scope is not None:
-            scope.local_mems.append(self)
-        else:
-            design.top_mems.append(self)
 
     @property
     def size(self) -> int:
@@ -111,14 +112,6 @@ class BRAM(OnChipMemory):
 
 class Reg(OnChipMemory):
     """A non-pipelined register (optionally double buffered)."""
-
-    def __init__(self, design: "Design", name: str, tp: HWType) -> None:
-        super().__init__(design, name, tp)
-        scope = design._current_scope()
-        if scope is not None:
-            scope.local_mems.append(self)
-        else:
-            design.top_mems.append(self)
 
     @property
     def size(self) -> int:
@@ -161,11 +154,6 @@ class PriorityQueue(OnChipMemory):
             raise IRError("priority queue depth must be positive")
         self.depth = depth
         self.ascending = ascending
-        scope = design._current_scope()
-        if scope is not None:
-            scope.local_mems.append(self)
-        else:
-            design.top_mems.append(self)
 
     @property
     def size(self) -> int:

@@ -34,8 +34,8 @@ class Node:
     def __init__(self, design: "Design", name: str) -> None:
         self.design = design
         self.name = name
-        self.nid: int = design._register(self)
         self.parent: Optional["Controller"] = design._current_scope()
+        self.nid: int = design._register(self)
 
     @property
     def kind(self) -> str:

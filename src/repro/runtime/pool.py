@@ -154,7 +154,7 @@ def run_shard(
                 continue
             t0 = time.perf_counter()
             try:
-                design = benchmark.build(dataset, **params)
+                design = _build(benchmark, dataset, params)
             except IRError:
                 record = PointRecord(index, dict(params), None,
                                      time.perf_counter() - t0)
@@ -163,11 +163,20 @@ def run_shard(
                 record = PointRecord(index, dict(params), estimate,
                                      time.perf_counter() - t0)
             emit(record)
+    if caches is not None:
+        caches.points.publish()  # lookups since the shard's last estimate
     outcome.records.sort(key=lambda r: r.index)
     if writer is not None and mark_done:
         writer.done(shard)
     outcome.elapsed_s = time.perf_counter() - start
     return outcome
+
+
+def _build(benchmark, dataset, params):
+    """``benchmark.build`` under a ``build`` span and ``pass.build_s``
+    histogram, so traces cover all of ``dse.point_latency_s``."""
+    with obs.timed("build", "pass.build_s"):
+        return benchmark.build(dataset, **params)
 
 
 def _run_points_batched(
@@ -207,7 +216,7 @@ def _run_points_batched(
                              time.perf_counter() - t0))
             continue
         try:
-            design = benchmark.build(dataset, **params)
+            design = _build(benchmark, dataset, params)
         except IRError:
             caches.points.put(key, None)
             emit(PointRecord(index, dict(params), None,

@@ -52,6 +52,18 @@ class TestExploration:
         cycles = [p.cycles for p in sample]
         assert cycles == sorted(cycles)
 
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_pareto_sample_small_counts(self, dp_result, count):
+        front = dp_result.pareto
+        assert len(front) > 2
+        sample = dp_result.pareto_sample(count)
+        assert len(sample) == count
+        assert sample == [front[0], front[-1]][:count]
+
+    def test_pareto_sample_larger_than_front(self, dp_result):
+        front = dp_result.pareto
+        assert dp_result.pareto_sample(len(front) + 5) == front
+
     def test_deterministic_given_seed(self, estimator):
         bench = get_benchmark("tpchq6")
         r1 = explore(bench, estimator, max_points=40, seed=5)

@@ -84,17 +84,44 @@ class TestLRUCache:
         assert cache.hits == 1
 
     def test_counters_mirror_into_obs_when_enabled(self):
+        """Lookups only bump local stats; publish() mirrors them into obs."""
         obs.enable(metrics=True)
         cache = LRUCache("unit", 1)
         cache.get("x")  # miss
         cache.put("x", 1)
         cache.get("x")  # hit
         cache.put("y", 2)  # evict
+        assert "estimation.cache.hit" not in obs.metrics().to_dict()["counters"]
+        cache.publish()
+        cache.publish()  # nothing new since the last publish
         counts = obs.metrics().to_dict()["counters"]
         assert counts["estimation.cache.hit"] == 1
         assert counts["estimation.cache.miss"] == 1
         assert counts["estimation.cache.evict"] == 1
         assert counts["estimation.cache.unit.hit"] == 1
+
+    def test_publish_sends_only_new_counts(self):
+        obs.enable(metrics=True)
+        cache = LRUCache("unit", 4)
+        cache.get("a")
+        cache.publish()
+        cache.get("a")
+        cache.get("b")
+        cache.publish()
+        counts = obs.metrics().to_dict()["counters"]
+        assert counts["estimation.cache.unit.miss"] == 3
+        assert "estimation.cache.unit.hit" not in counts
+
+    def test_publish_with_metrics_off_drops_the_counts(self):
+        cache = LRUCache("unit", 4)
+        cache.get("a")
+        cache.publish()  # metrics disabled: counted locally only
+        obs.enable(metrics=True)
+        cache.get("b")
+        cache.publish()
+        counts = obs.metrics().to_dict()["counters"]
+        assert counts["estimation.cache.unit.miss"] == 1
+        assert cache.misses == 2
 
 
 class TestCachedTemplateModels:
@@ -236,3 +263,46 @@ class TestNoCacheEstimator:
         assert cold.caches is None and warm.caches is not None
         assert cold.templates is warm.templates
         assert cold.corrections is warm.corrections
+
+
+class TestObsPublication:
+    """``estimation.cache.*`` counters advance per call, not per lookup,
+    and end up equal to the caches' own statistics."""
+
+    @staticmethod
+    def _assert_counters_equal_stats(caches):
+        counts = obs.metrics().to_dict()["counters"]
+        stats = caches.stats()
+        for suffix, field in (("hit", "hits"), ("miss", "misses"),
+                              ("evict", "evictions")):
+            for name, cache_stats in stats.items():
+                key = f"estimation.cache.{name}.{suffix}"
+                assert counts.get(key, 0) == cache_stats[field], key
+            total = sum(s[field] for s in stats.values())
+            assert counts.get(f"estimation.cache.{suffix}", 0) == total
+
+    @pytest.fixture()
+    def fresh(self, estimator):
+        """Trained models with empty caches."""
+        return Estimator(
+            MAIA, templates=estimator.templates,
+            corrections=estimator.corrections,
+        )
+
+    def test_serial_explore_counters_equal_cache_stats(self, fresh):
+        from repro.dse import explore
+
+        obs.enable(metrics=True)
+        for name in ("gda", "dotproduct", "gda"):  # gda twice: points hit
+            explore(get_benchmark(name), fresh, max_points=40, seed=3)
+        assert fresh.caches.points.hits > 0
+        self._assert_counters_equal_stats(fresh.caches)
+
+    def test_local_search_counters_equal_cache_stats(self, fresh):
+        from repro.dse import local_search
+
+        obs.enable(metrics=True)
+        local_search(get_benchmark("tpchq6"), fresh, budget=30, seed=2)
+        local_search(get_benchmark("tpchq6"), fresh, budget=30, seed=2)
+        assert fresh.caches.points.hits > 0
+        self._assert_counters_equal_stats(fresh.caches)

@@ -138,6 +138,26 @@ class TestPipelineInstrumentation:
         hist = obs.metrics().to_dict()["histograms"]["dse.point_latency_s"]
         assert hist["count"] == len(result.points)
 
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_build_is_traced_under_explore(self, estimator, cache):
+        """Every build gets a ``build`` span under ``explore`` and one
+        ``pass.build_s`` observation, on the batched and per-point paths."""
+        from repro.estimation import Estimator
+
+        fresh = Estimator(
+            estimator.board, templates=estimator.templates,
+            corrections=estimator.corrections, cache=cache,
+        )
+        obs.enable()
+        result = explore(get_benchmark("gda"), fresh, max_points=30, seed=4)
+        tracer = obs.tracer()
+        (exp,) = tracer.find("explore")
+        builds = tracer.find("build")
+        assert len(builds) == len(result.points) == 30
+        assert all(s.parent_id == exp.span_id for s in builds)
+        hist = obs.metrics().to_dict()["histograms"]["pass.build_s"]
+        assert hist["count"] == len(builds)
+
     def test_simulate_traces_controller_hierarchy(self, estimator):
         obs.enable(trace=True)
         bench = get_benchmark("dotproduct")

@@ -237,6 +237,39 @@ class TestObservabilityFlags:
         assert not obs.metrics()
 
 
+class TestBadInputs:
+    """Bad CLI input exits 2 with one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["explore", "nosuch"],
+             "unknown benchmark 'nosuch' (choose from: dotproduct, "),
+            (["estimate", "nosuch"], "unknown benchmark 'nosuch'"),
+            (["explore", "gda", "--points", "0"],
+             "--points: expected a positive integer, got '0'"),
+            (["explore", "gda", "--points", "-5"],
+             "--points: expected a positive integer, got '-5'"),
+            (["report", "--points", "0"], "expected a positive integer"),
+        ],
+    )
+    def test_one_line_usage_error(self, estimator, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(estimator, *argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert "Traceback" not in err
+
+    def test_show_one_prints_the_fastest_pareto_point(self, estimator):
+        code, text = run_cli(
+            estimator, "explore", "gda", "--points", "60", "--show", "1"
+        )
+        assert code == 0
+        rows = text.splitlines()[2:]
+        assert len(rows) == 1 and "{" in rows[0]
+
+
 class TestParallelExploreFlags:
     def test_workers_zero_is_friendly(self, estimator):
         with pytest.raises(SystemExit, match="--workers expects a positive"):
