@@ -541,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", nargs="*", metavar="K=V")
 
     p = sub.add_parser("report", help="consolidated evaluation report",
-                       parents=[cache_flags])
+                       parents=[obs_flags, cache_flags])
     p.add_argument("--points", type=_positive_int, default=400,
                    help="DSE budget per benchmark")
     p.add_argument("--workers", type=int, default=1,

@@ -163,11 +163,14 @@ def explore(
     points/Pareto cover just that range; conservation is enforced over
     the range.
 
-    When the estimator caches (the default), each shard estimates fresh
-    designs in blocks of ``batch_size`` through the vectorized
-    ``estimate_many`` path and dedupes repeat points via the shared
-    design-point cache; results are bit-identical to per-point
-    estimation (``--no-cache``).
+    Each shard instantiates its points on one design skeleton per
+    structural class (:mod:`repro.ir.skeleton`) instead of re-running
+    the app's builder per point. When the estimator caches (the
+    default), fresh designs are analysed as they are bound and corrected
+    in blocks of ``batch_size`` through the vectorized ``finish_many``
+    path, and repeat points are deduped via the shared design-point
+    cache; results are bit-identical to a fresh build estimated per
+    point (``--no-cache``).
     """
     if not isinstance(workers, int) or isinstance(workers, bool):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")

@@ -13,6 +13,7 @@ bench compares its sample efficiency against pure random sampling.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -21,6 +22,7 @@ from ..apps.registry import Benchmark, Dataset
 from ..estimation.cache import DEFAULT_POINT_ENTRIES, MISS, LRUCache, point_key
 from ..estimation.estimator import Estimate, Estimator
 from ..ir.node import IRError
+from ..ir.skeleton import Skeletons, instantiate
 from ..params import BoolParam, IntParam, ParamSpace
 from .explorer import DesignPoint
 
@@ -79,7 +81,7 @@ def local_search(
     walk's budget/trajectory semantics (each distinct point costs one
     evaluation per search), while the estimator's shared design-point
     cache (:class:`~repro.estimation.cache.EstimationCaches`) skips the
-    build+estimate work for points any earlier search or exploration
+    instantiate+estimate work for points any earlier search or exploration
     already priced — sharing dedupe logic and hit/miss counters with the
     sharded explore runner. Illegal points cache as ``None``.
     """
@@ -93,6 +95,9 @@ def local_search(
         else LRUCache("points", DEFAULT_POINT_ENTRIES)  # local, uncached run
     )
     seen: Dict[Tuple, Optional[Estimate]] = {}
+    # Skeletons live for this search only (see repro.ir.skeleton).
+    skeletons: Skeletons = {}
+    build = functools.partial(benchmark.build, dataset)
 
     def evaluate(point: Point) -> Optional[Estimate]:
         key = point_key(benchmark.name, dataset, point)
@@ -106,7 +111,7 @@ def local_search(
             estimate: Optional[Estimate] = cached  # type: ignore[assignment]
         else:
             try:
-                design = benchmark.build(dataset, **point)
+                design = instantiate(skeletons, build, point)
             except IRError:
                 estimate = None
             else:

@@ -1,6 +1,13 @@
 """Estimation: fast cycle-count and hybrid area models (paper Section IV)."""
 
-from .area import AreaEstimate, RawArea, hybrid_area, hybrid_area_many, raw_area
+from .area import (
+    AreaEstimate,
+    RawArea,
+    corrected_areas,
+    hybrid_area,
+    raw_analysis,
+    raw_area,
+)
 from .cache import (
     CachedTemplateModels,
     EstimationCaches,
@@ -11,7 +18,7 @@ from .cache import (
 from .characterize import TemplateModels, characterize_templates
 from .counts import Counts
 from .cycles import CycleEstimate, estimate_cycles, transfer_cycles
-from .estimator import Estimate, Estimator, default_estimator
+from .estimator import Analysis, Estimate, Estimator, default_estimator
 from .features import N_FEATURES, design_features
 from .nn import MLP, MLPConfig, fit_linear
 from .power import PowerEstimate, estimate_power
@@ -21,6 +28,7 @@ from .train import CorrectionModels, train_corrections
 from .validation import CrossValidationReport, cross_validate
 
 __all__ = [
+    "Analysis",
     "AreaEstimate",
     "CachedTemplateModels",
     "CorrectionModels",
@@ -40,6 +48,7 @@ __all__ = [
     "RawArea",
     "TemplateModels",
     "characterize_templates",
+    "corrected_areas",
     "default_estimator",
     "design_features",
     "estimate_cycles",
@@ -47,9 +56,9 @@ __all__ = [
     "fit_linear",
     "generate_sample_design",
     "hybrid_area",
-    "hybrid_area_many",
     "load_estimator",
     "point_key",
+    "raw_analysis",
     "raw_area",
     "save_estimator",
     "train_corrections",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 from .. import obs
 from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
@@ -383,6 +383,21 @@ def _finalize_area(
     )
 
 
+def raw_analysis(
+    design: Design, models: TemplateModels, caches=None
+) -> Tuple[RawArea, List[float]]:
+    """Raw counts and the correction networks' features for one design.
+
+    The per-design half of :func:`hybrid_area`; it reads the design only
+    here, so its result outlives later changes to the design.
+    """
+    from .features import design_features  # local import to avoid cycle
+
+    with obs.timed("area.raw", "pass.area_raw_s", design=design.name):
+        raw = raw_area(design, models, caches)
+        return raw, design_features(design, raw.counts, raw.wire_bits)
+
+
 def hybrid_area(
     design: Design,
     models: TemplateModels,
@@ -394,13 +409,9 @@ def hybrid_area(
 
     ``corrections`` is a :class:`repro.estimation.train.CorrectionModels`.
     """
-    from .features import design_features  # local import to avoid cycle
-
     device = board.device
     with obs.timed("area", "pass.area_s", design=design.name):
-        with obs.timed("area.raw", "pass.area_raw_s"):
-            raw = raw_area(design, models, caches)
-            feats = design_features(design, raw.counts, raw.wire_bits)
+        raw, feats = raw_analysis(design, models, caches)
 
         # The NN corrections are the one non-analytical estimation stage;
         # timed separately so Table IV decomposes into model vs NN time.
@@ -419,45 +430,31 @@ def hybrid_area(
         )
 
 
-def hybrid_area_many(
-    designs: List[Design],
-    models: TemplateModels,
+def corrected_areas(
+    raws: Sequence[RawArea],
+    feats: Sequence[List[float]],
     corrections,
     board: Board = MAIA,
-    caches=None,
 ) -> List[AreaEstimate]:
-    """Batched :func:`hybrid_area`: raw counting per design, NN once.
+    """NN corrections for a block of :func:`raw_analysis` results at once.
 
-    Raw counting stays sequential (it walks each IR graph), but the four
-    correction models run as one vectorized forward pass over the whole
-    block. The MLP forward is batch-size invariant
+    The four correction models run as one vectorized forward pass over
+    the whole block. The MLP forward is batch-size invariant
     (:meth:`repro.estimation.nn.MLP.predict`), so results are
-    bit-identical to estimating each design alone.
+    bit-identical to correcting each design alone.
     """
-    from .features import design_features  # local import to avoid cycle
-
-    device = board.device
-    raws = []
-    feats = []
-    for design in designs:
-        with obs.timed(
-            "area.raw", "pass.area_raw_s", design=design.name
-        ):
-            raw = raw_area(design, models, caches)
-            feats.append(design_features(design, raw.counts, raw.wire_bits))
-        raws.append(raw)
-    with obs.timed("area.nn", "pass.area_nn_s", batch=len(designs)):
+    with obs.timed("area.nn", "pass.area_nn_s", batch=len(raws)):
         routing, dup_regs, unavailable, dup_brams = corrections.predict_batch(
             feats, [raw.counts for raw in raws]
         )
     return [
         _finalize_area(
-            raws[i].counts,
-            device,
+            raw.counts,
+            board.device,
             float(routing[i]),
             float(dup_regs[i]),
             float(unavailable[i]),
             float(dup_brams[i]),
         )
-        for i in range(len(designs))
+        for i, raw in enumerate(raws)
     ]

@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .. import obs
 from ..ir.graph import Design
 from ..target.board import MAIA, Board
-from .area import AreaEstimate, hybrid_area, hybrid_area_many
+from .area import (
+    AreaEstimate,
+    RawArea,
+    corrected_areas,
+    hybrid_area,
+    raw_analysis,
+)
 from .cache import EstimationCaches
 from .characterize import TemplateModels, characterize_templates
 from .cycles import CycleEstimate, estimate_cycles
@@ -51,6 +57,19 @@ class Estimate:
     def utilization(self) -> Dict[str, float]:
         """Estimated utilization fraction per device resource class."""
         return self.area.utilization(self.board.device)
+
+
+class Analysis(NamedTuple):
+    """The per-design half of a batched estimate: everything but the NN.
+
+    Holds no reference to the design, so the design may change (a DSE
+    skeleton is re-bound to the next point) once it is analysed.
+    """
+
+    design_name: str
+    cycles: CycleEstimate
+    raw: RawArea
+    features: List[float]
 
 
 class Estimator:
@@ -129,39 +148,45 @@ class Estimator:
             board=self.board,
         )
 
-    def estimate_many(self, designs: Sequence[Design]) -> List[Estimate]:
-        """Batched estimates: per-design cycles, one vectorized NN pass.
+    def analyze(self, design: Design) -> Analysis:
+        """Cycles, raw area and NN features of one design (no NN yet)."""
+        cycles = estimate_cycles(design, self.board, self.caches)
+        raw, features = raw_analysis(design, self.templates, self.caches)
+        return Analysis(design.name, cycles, raw, features)
 
-        Raw counting and cycle analysis run per design (reusing this
-        estimator's caches), while the four correction networks evaluate
-        the whole block in a single forward pass each. Every returned
-        :class:`Estimate` is bit-identical to calling :meth:`estimate`
-        on that design alone.
+    def finish_many(self, analyses: Sequence[Analysis]) -> List[Estimate]:
+        """Estimates from :meth:`analyze` results: one vectorized NN pass.
+
+        The four correction networks evaluate the whole block in a single
+        forward pass each; every returned :class:`Estimate` is
+        bit-identical to calling :meth:`estimate` on that design alone.
         """
-        if not designs:
+        if not analyses:
             return []
         with obs.timed(
-            "estimate.batch", "estimate.batch_latency_s", batch=len(designs)
+            "estimate.batch", "estimate.batch_latency_s", batch=len(analyses)
         ):
-            obs.counter("estimate.calls").inc(len(designs))
-            cycles = [
-                estimate_cycles(d, self.board, self.caches) for d in designs
-            ]
-            areas = hybrid_area_many(
-                list(designs), self.templates, self.corrections,
-                self.board, self.caches,
+            obs.counter("estimate.calls").inc(len(analyses))
+            areas = corrected_areas(
+                [a.raw for a in analyses], [a.features for a in analyses],
+                self.corrections, self.board,
             )
         self._publish_cache_stats()
         return [
             Estimate(
-                design_name=design.name,
-                cycles=cyc.total,
-                seconds=cyc.seconds,
+                design_name=a.design_name,
+                cycles=a.cycles.total,
+                seconds=a.cycles.seconds,
                 area=area,
                 board=self.board,
             )
-            for design, cyc, area in zip(designs, cycles, areas)
+            for a, area in zip(analyses, areas)
         ]
+
+    def estimate_many(self, designs: Sequence[Design]) -> List[Estimate]:
+        """Batched estimates: :meth:`analyze` each design, then
+        :meth:`finish_many` the block."""
+        return self.finish_many([self.analyze(d) for d in designs])
 
     def _publish_cache_stats(self) -> None:
         """Publish cache statistics into obs (once per estimating call)."""

@@ -15,7 +15,6 @@ from typing import List
 from ..ir.controllers import MetaPipe
 from ..ir.graph import Design
 from ..ir.memops import TileTransfer
-from ..ir.node import Value
 from .counts import Counts
 
 N_FEATURES = 11
@@ -26,7 +25,6 @@ def design_features(design: Design, raw: Counts, wire_bits: float) -> List[float
     controllers = list(design.controllers())
     num_metapipes = sum(1 for c in controllers if isinstance(c, MetaPipe))
     num_transfers = sum(1 for c in controllers if isinstance(c, TileTransfer))
-    widths = [n.width for n in design.nodes if isinstance(n, Value)] or [1]
     banks = [m.banks for m in design.onchip_mems()] or [1]
     depth = _max_depth(design)
 

@@ -39,13 +39,9 @@ def _fresh(prefix: str) -> str:
 
 
 def _norm_dims(dims: Sequence[DimSpec]) -> List[Tuple[int, int]]:
-    out: List[Tuple[int, int]] = []
-    for d in dims:
-        if isinstance(d, tuple):
-            out.append((int(d[0]), int(d[1])))
-        else:
-            out.append((int(d), 1))
-    return out
+    # Values pass through unconverted: the counter chain strips parameter
+    # tags itself (see repro.ir.node.ParamInt).
+    return [(d[0], d[1]) if isinstance(d, tuple) else (d, 1) for d in dims]
 
 
 # -- memories ---------------------------------------------------------------------

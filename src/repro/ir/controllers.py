@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from .node import IRError, Node, Value
+from .node import IRError, Node, Value, untag
 from .memories import OnChipMemory
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,11 +60,12 @@ class CounterChain(Node):
         if not dims:
             raise IRError("counter chain needs at least one dimension")
         norm: List[Tuple[int, int]] = []
-        for extent, step in dims:
-            extent, step = int(extent), int(step)
-            if extent <= 0 or step <= 0:
-                raise IRError(f"bad counter dimension ({extent}, {step})")
-            norm.append((extent, step))
+        for i, (extent, step) in enumerate(dims):
+            (extent, extent_tag), (step, step_tag) = untag(extent), untag(step)
+            design._slot(extent_tag, self, "dims", (i, 0))
+            design._slot(step_tag, self, "dims", (i, 1))
+            norm.append((int(extent), int(step)))
+        check_counter_dims(norm)
         self.dims: List[Tuple[int, int]] = norm
         self.iters: List[CounterIter] = [
             CounterIter(design, self, i) for i in range(len(norm))
@@ -79,6 +80,24 @@ class CounterChain(Node):
     @property
     def total_iterations(self) -> int:
         return math.prod(self.counts)
+
+
+def check_counter_dims(dims: Sequence[Tuple[int, int]]) -> None:
+    """Every counter extent and step must be positive."""
+    for extent, step in dims:
+        if extent <= 0 or step <= 0:
+            raise IRError(f"bad counter dimension ({extent}, {step})")
+
+
+def check_par(name: str, cchain: Optional[CounterChain], par: int) -> None:
+    """``par`` must be >= 1 and divide the innermost iteration count."""
+    if par < 1:
+        raise IRError(f"parallelization factor must be >= 1, got {par}")
+    if cchain is not None and par > 1 and cchain.counts[-1] % par != 0:
+        raise IRError(
+            f"{name}: parallelization factor {par} does not divide "
+            f"innermost iteration count {cchain.counts[-1]}"
+        )
 
 
 class Controller(Node):
@@ -96,16 +115,12 @@ class Controller(Node):
         par: int = 1,
         pattern: str = "map",
     ) -> None:
-        if par < 1:
-            raise IRError(f"parallelization factor must be >= 1, got {par}")
+        par, par_tag = untag(par)
+        check_par(name, cchain, par)
         if pattern not in ("map", "reduce"):
             raise IRError(f"unknown parallel pattern {pattern!r}")
-        if cchain is not None and par > 1 and cchain.counts[-1] % par != 0:
-            raise IRError(
-                f"{name}: parallelization factor {par} does not divide "
-                f"innermost iteration count {cchain.counts[-1]}"
-            )
         super().__init__(design, name)
+        design._slot(par_tag, self, "par")
         self.cchain = cchain
         self.par = par
         self.pattern = pattern
@@ -126,9 +141,14 @@ class Controller(Node):
         # Hardware copies of this controller's body: the enclosing copies
         # times this controller's own outer-loop factor (paper Figure 3).
         # Pipe parallelization is vector width instead, so it is excluded.
+        self.update_replication()
+
+    def update_replication(self) -> None:
+        """Recompute ``body_replication`` from the parent's and ``par``."""
         outer = self.parent.body_replication if self.parent is not None else 1
         self.body_replication = (
-            outer * par if par > 1 and self.replicates_body else outer
+            outer * self.par if self.par > 1 and self.replicates_body
+            else outer
         )
 
     # -- structure -------------------------------------------------------------

@@ -20,7 +20,9 @@ Finalization derives the properties the paper's tools infer automatically:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from .controllers import (
     Controller,
@@ -32,7 +34,7 @@ from .controllers import (
 )
 from .memops import TileLd, TileSt, TileTransfer
 from .memories import BRAM, OffChipMem, OnChipMemory, Reg
-from .node import Const, IRError, Node, Value, result_type
+from .node import Const, IRError, Node, Value, result_type, untag
 from .primitives import LoadOp, Prim, StoreOp
 from .types import Bool, FixPt, FltPt, HWType, Index
 
@@ -56,6 +58,9 @@ class Design:
         self.top_mems: List[OnChipMemory] = []
         self.arg_outs: List[Reg] = []
         self.top_controllers: List[Controller] = []
+        # (parameter name, node, field, index) for every integer field a
+        # tagged parameter set; filled only by skeleton builds.
+        self.param_slots: List[Tuple[str, Node, str, object]] = []
         self._scope_stack: List[Controller] = []
         self.finalized = False
 
@@ -93,6 +98,14 @@ class Design:
                 scope.local_mems.append(node)
         return nid
 
+    def _slot(
+        self, param: Optional[str], node: Node, field: str,
+        index: object = None,
+    ) -> None:
+        """Record that ``node.field[index]`` holds parameter ``param``."""
+        if param is not None:
+            self.param_slots.append((param, node, field, index))
+
     def _current_scope(self) -> Optional[Controller]:
         return self._scope_stack[-1] if self._scope_stack else None
 
@@ -112,8 +125,11 @@ class Design:
         if isinstance(x, bool):
             return Const(self, x, Bool)
         if isinstance(x, int):
+            x, tag = untag(x)
             tp = like if like is not None and not like.is_bit else Index
-            return Const(self, x, tp)
+            const = Const(self, x, tp)
+            self._slot(tag, const, "value")
+            return const
         if isinstance(x, float):
             # A literal in a fixed-point context becomes a fixed-point
             # constant of the same format (DHDL requires explicit
@@ -179,18 +195,21 @@ class Design:
         self.finalized = True
         return self
 
-    def _assign_widths(self) -> None:
-        for ctrl in self.controllers():
-            if isinstance(ctrl, Pipe):
-                width = ctrl.par
-                for node in ctrl.body_prims:
-                    node.width = width
-                if ctrl.cchain is not None:
-                    for it in ctrl.cchain.iters:
-                        it.width = width
+    def _assign_widths(self, pipes: Optional[Iterable[Pipe]] = None) -> None:
+        """Vector widths of the body of every Pipe (or of ``pipes``)."""
+        for ctrl in self.pipes() if pipes is None else pipes:
+            width = ctrl.par
+            for node in ctrl.body_prims:
+                node.width = width
+            if ctrl.cchain is not None:
+                for it in ctrl.cchain.iters:
+                    it.width = width
 
-    def _infer_banking(self) -> None:
-        for mem in self.onchip_mems():
+    def _infer_banking(
+        self, mems: Optional[Iterable[OnChipMemory]] = None
+    ) -> None:
+        """Banks of every on-chip memory (or of ``mems``)."""
+        for mem in self.onchip_mems() if mems is None else mems:
             widths = [a.width for a in mem.readers + mem.writers]
             widths += [t.par for t in mem.transfers]
             mem.banks = max(widths, default=1)

@@ -14,12 +14,28 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
 from .controllers import Controller
 from .memories import BRAM, OffChipMem
-from .node import IRError, Value
+from .node import IRError, Value, untag
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import Design
 
 Start = Union[int, Value]
+
+
+def check_tile(
+    name: str, offchip: OffChipMem, bram: BRAM, sizes: Sequence[int]
+) -> None:
+    """Each tile size must lie in its dimension and the tile fit its BRAM."""
+    for size, dim in zip(sizes, offchip.dims):
+        if size <= 0 or size > dim:
+            raise IRError(
+                f"{name}: tile size {size} out of range for dimension {dim}"
+            )
+    if math.prod(sizes) > bram.size:
+        raise IRError(
+            f"{name}: tile of {math.prod(sizes)} words does not fit in "
+            f"BRAM {bram.name!r} ({bram.size} words)"
+        )
 
 
 class TileTransfer(Controller):
@@ -48,17 +64,12 @@ class TileTransfer(Controller):
                 f"{name}: got {len(sizes)} tile sizes for "
                 f"{len(offchip.dims)}-D off-chip memory {offchip.name!r}"
             )
-        sizes = [int(s) for s in sizes]
-        for size, dim in zip(sizes, offchip.dims):
-            if size <= 0 or size > dim:
-                raise IRError(
-                    f"{name}: tile size {size} out of range for dimension {dim}"
-                )
-        if math.prod(sizes) > bram.size:
-            raise IRError(
-                f"{name}: tile of {math.prod(sizes)} words does not fit in "
-                f"BRAM {bram.name!r} ({bram.size} words)"
-            )
+        plain = []
+        for i, size in enumerate(sizes):
+            size, tag = untag(size)
+            design._slot(tag, self, "sizes", i)
+            plain.append(int(size))
+        check_tile(name, offchip, bram, plain)
         if offchip.tp != bram.tp:
             raise IRError(
                 f"{name}: element type mismatch between {offchip.name!r} "
@@ -66,8 +77,12 @@ class TileTransfer(Controller):
             )
         self.offchip = offchip
         self.bram = bram
-        self.starts: List[Start] = list(starts)
-        self.sizes: Tuple[int, ...] = tuple(sizes)
+        self.starts: List[Start] = []
+        for i, start in enumerate(starts):
+            start, tag = untag(start)
+            design._slot(tag, self, "starts", i)
+            self.starts.append(start)
+        self.sizes: Tuple[int, ...] = tuple(plain)
         bram.transfers.append(self)
 
     @property

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from .node import IRError, Node, Value
+from .node import IRError, Node, Value, untag
 from .types import HWType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,6 +74,18 @@ class OnChipMemory(Node):
         return depth * self.tp.bits
 
 
+def check_bram_dims(name: str, dims: Sequence[int]) -> None:
+    """A BRAM needs at least one dimension, all positive."""
+    if not dims or any(d <= 0 for d in dims):
+        raise IRError(f"BRAM {name!r} needs positive dimensions")
+
+
+def check_depth(depth: int) -> None:
+    """A priority queue needs a positive depth."""
+    if depth <= 0:
+        raise IRError("priority queue depth must be positive")
+
+
 class BRAM(OnChipMemory):
     """An on-chip scratchpad backed by block RAMs.
 
@@ -92,11 +104,15 @@ class BRAM(OnChipMemory):
         interleave: str = "cyclic",
     ) -> None:
         super().__init__(design, name, tp)
-        if not dims or any(d <= 0 for d in dims):
-            raise IRError(f"BRAM {name!r} needs positive dimensions")
+        plain = []
+        for i, dim in enumerate(dims):
+            dim, tag = untag(dim)
+            design._slot(tag, self, "dims", i)
+            plain.append(dim)
+        check_bram_dims(name, plain)
         if interleave not in ("cyclic", "block"):
             raise IRError(f"unknown interleaving scheme {interleave!r}")
-        self.dims: Tuple[int, ...] = tuple(int(d) for d in dims)
+        self.dims: Tuple[int, ...] = tuple(int(d) for d in plain)
         self.interleave = interleave
 
     @property
@@ -150,8 +166,9 @@ class PriorityQueue(OnChipMemory):
         ascending: bool = True,
     ) -> None:
         super().__init__(design, name, tp)
-        if depth <= 0:
-            raise IRError("priority queue depth must be positive")
+        depth, tag = untag(depth)
+        check_depth(depth)
+        design._slot(tag, self, "depth")
         self.depth = depth
         self.ascending = ascending
 

@@ -10,7 +10,7 @@ so that benchmark code reads like the paper's Figure 4.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 from .types import Bool, HWType, common_type
 
@@ -21,6 +21,78 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 
 class IRError(Exception):
     """Raised for structural errors while building or validating DHDL IR."""
+
+
+class ParamInt(int):
+    """An integer design parameter tagged with its name.
+
+    A skeleton build (:mod:`repro.ir.skeleton`) passes every integer
+    parameter to the app's unchanged builder as a ``ParamInt``. The IR
+    constructors that take integers strip the tag with :func:`untag`
+    before validating and record a parameter slot, so the value can later
+    be re-bound in place. Every other use the type can see -- arithmetic,
+    comparison, ``bool``, ``int``, ``__index__``, hashing, formatting --
+    adds the parameter's name to ``uses``: the builder's structure may
+    depend on the value, so the value becomes part of the class key.
+
+    Operations implemented on the other operand's side (``2.5 * p``,
+    ``math.log2(p)``) never reach this class; ``docs/extending.md`` asks
+    app authors to pass integer parameters only to ``hw.*`` constructors.
+    """
+
+    def __new__(cls, value: int, param: str, uses: Set[str]) -> "ParamInt":
+        self = super().__new__(cls, value)
+        self.param = param
+        self.uses = uses
+        return self
+
+
+def _plain(value: object) -> object:
+    """``value`` with any tag stripped, recording the tagged use."""
+    if type(value) is ParamInt:
+        value.uses.add(value.param)
+        return int.__int__(value)
+    return value
+
+
+def _structural(method_name: str):
+    method = getattr(int, method_name)
+
+    def use(self, *args):
+        return method(_plain(self), *(_plain(a) for a in args))
+
+    use.__name__ = method_name
+    use.__doc__ = method.__doc__
+    return use
+
+
+for _name in (
+    "__abs__", "__add__", "__and__", "__bool__", "__ceil__", "__divmod__",
+    "__eq__", "__float__", "__floor__", "__floordiv__", "__format__",
+    "__ge__", "__gt__", "__hash__", "__index__", "__int__", "__invert__",
+    "__le__", "__lshift__", "__lt__", "__mod__", "__mul__", "__ne__",
+    "__neg__", "__or__", "__pos__", "__pow__", "__radd__", "__rand__",
+    "__rdivmod__", "__repr__", "__rfloordiv__", "__rlshift__", "__rmod__",
+    "__rmul__", "__ror__", "__round__", "__rpow__", "__rrshift__",
+    "__rshift__", "__rsub__", "__rtruediv__", "__rxor__", "__str__",
+    "__sub__", "__truediv__", "__trunc__", "__xor__", "as_integer_ratio",
+    "bit_count", "bit_length", "conjugate", "to_bytes",
+):
+    setattr(ParamInt, _name, _structural(_name))
+for _name in ("denominator", "imag", "numerator", "real"):
+    setattr(ParamInt, _name,
+            property(lambda self, attr=_name: getattr(_plain(self), attr)))
+
+
+def untag(value: object) -> Tuple[object, Optional[str]]:
+    """``(plain value, parameter name or None)`` for a constructor argument.
+
+    Unlike every other use of a :class:`ParamInt`, untagging is not a
+    structural use: the caller records a parameter slot instead.
+    """
+    if type(value) is ParamInt:
+        return int.__int__(value), value.param
+    return value, None
 
 
 class Node:

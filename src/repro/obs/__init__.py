@@ -170,9 +170,10 @@ def gauge(name: str):
     return _METRICS.gauge(name)
 
 
-def histogram(name: str):
-    """Fetch/create a histogram (shared no-op when metrics are disabled)."""
-    return _METRICS.histogram(name)
+def histogram(name: str, unit: str = "s"):
+    """Fetch/create a histogram of observations in ``unit`` (shared no-op
+    when metrics are disabled); see :data:`repro.obs.metrics.UNITS`."""
+    return _METRICS.histogram(name, unit)
 
 
 class _Timed:

@@ -8,7 +8,9 @@ instruments so instrumentation in hot loops costs one flag check.
 
 All instruments are thread-safe. Histograms keep raw observations (a DSE
 run records one float per point — tens of kilobytes at paper scale), so
-percentiles are exact, not approximated.
+percentiles are exact, not approximated. Each histogram declares the unit
+of its observations (:data:`UNITS`, seconds by default); the summary
+table formats by it and :meth:`MetricsRegistry.to_dict` reports it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import threading
 from typing import Any, Dict, List, Optional, Union
 
 __all__ = [
+    "UNITS",
     "Counter",
     "Gauge",
     "Histogram",
@@ -25,6 +28,10 @@ __all__ = [
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
 ]
+
+
+#: Histogram units the summary table knows how to format.
+UNITS = ("s", "cycles", "ratio")
 
 
 class Counter:
@@ -70,10 +77,13 @@ class Gauge:
 class Histogram:
     """Distribution of observations with exact percentile summaries."""
 
-    __slots__ = ("name", "_lock", "_values", "_sorted")
+    __slots__ = ("name", "unit", "_lock", "_values", "_sorted")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, unit: str = "s") -> None:
+        if unit not in UNITS:
+            raise ValueError(f"histogram {name!r}: unknown unit {unit!r}")
         self.name = name
+        self.unit = unit
         self._lock = threading.Lock()
         self._values: List[float] = []
         self._sorted = True
@@ -206,14 +216,22 @@ class MetricsRegistry:
                 inst = self._gauges[name] = Gauge(name)
             return inst
 
-    def histogram(self, name: str) -> Histogram:
-        """Fetch/create the named histogram (no-op when disabled)."""
+    def histogram(self, name: str, unit: str = "s") -> Histogram:
+        """Fetch/create the named histogram (no-op when disabled).
+
+        ``unit`` is one of :data:`UNITS`; a name keeps the unit it was
+        created with, and asking for it in another unit is an error.
+        """
         if not self.enabled:
             return NULL_HISTOGRAM  # type: ignore[return-value]
         with self._lock:
             inst = self._histograms.get(name)
             if inst is None:
-                inst = self._histograms[name] = Histogram(name)
+                inst = self._histograms[name] = Histogram(name, unit)
+            elif inst.unit != unit:
+                raise ValueError(
+                    f"histogram {name!r} is in {inst.unit!r}, not {unit!r}"
+                )
             return inst
 
     def reset(self) -> None:
@@ -230,7 +248,7 @@ class MetricsRegistry:
     # -- export ------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready snapshot of every instrument."""
+        """JSON-ready snapshot of every instrument (histograms with unit)."""
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
@@ -239,7 +257,8 @@ class MetricsRegistry:
             "counters": {n: c.value for n, c in sorted(counters.items())},
             "gauges": {n: g.value for n, g in sorted(gauges.items())},
             "histograms": {
-                n: h.summary() for n, h in sorted(histograms.items())
+                n: {**h.summary(), "unit": h.unit}
+                for n, h in sorted(histograms.items())
             },
         }
 
@@ -263,21 +282,36 @@ class MetricsRegistry:
                 f"{'p50':>10s} {'p95':>10s} {'max':>10s}"
             )
             for name, s in snap["histograms"].items():
+                unit = s["unit"]
                 lines.append(
-                    f"{name:28s} {s['count']:8,d} {_fmt(s['mean'])} "
-                    f"{_fmt(s['p50'])} {_fmt(s['p95'])} {_fmt(s['max'])}"
+                    f"{name:28s} {s['count']:8,d} "
+                    + " ".join(
+                        format_value(s[k], unit)
+                        for k in ("mean", "p50", "p95", "max")
+                    )
                 )
         if len(lines) <= 1:
             lines.append("(no metrics recorded)")
         return "\n".join(lines)
 
 
-def _fmt(seconds: float) -> str:
-    """Render a (usually sub-second) value with an adaptive unit."""
-    if seconds == 0:
+def format_value(value: float, unit: str = "s") -> str:
+    """Render one observation in ``unit`` as a 10-character table cell.
+
+    Seconds scale to us/ms/s, cycles take k/M/G prefixes, and a ratio
+    prints as a plain number.
+    """
+    if value == 0:
         return f"{'0':>10s}"
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:>8.1f}us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:>8.2f}ms"
-    return f"{seconds:>9.3f}s"
+    if unit == "ratio":
+        return f"{value:>10.3f}"
+    if unit == "s":
+        if value < 1e-3:
+            return f"{value * 1e6:>8.1f}us"
+        if value < 1.0:
+            return f"{value * 1e3:>8.2f}ms"
+        return f"{value:>9.3f}s"
+    for scale, prefix in ((1e9, "G"), (1e6, "M"), (1e3, "k")):
+        if abs(value) >= scale:
+            return f"{value / scale:>6.1f}{prefix}cyc"
+    return f"{value:>7.1f}cyc"

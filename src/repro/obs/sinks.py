@@ -25,6 +25,7 @@ import json
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Union
 
+from .metrics import format_value
 from .trace import InstantEvent, Span, Tracer
 
 __all__ = [
@@ -308,19 +309,10 @@ def span_summary(tracer: Tracer, title: str = "spans") -> str:
     )
     for name, count, total, mean, mx in rows:
         lines.append(
-            f"{name:28s} {count:8,d} {_fmt(total)} {_fmt(mean)} {_fmt(mx)}"
+            f"{name:28s} {count:8,d} {format_value(total)} "
+            f"{format_value(mean)} {format_value(mx)}"
         )
     return "\n".join(lines)
-
-
-def _fmt(seconds: float) -> str:
-    if seconds == 0:
-        return f"{'0':>10s}"
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:>8.1f}us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:>8.2f}ms"
-    return f"{seconds:>9.3f}s"
 
 
 def _jsonable(attrs: Dict[str, Any]) -> Dict[str, Any]:

@@ -39,6 +39,7 @@ estimates indices missing from the files either way.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import time
@@ -50,10 +51,11 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from .. import obs
 from ..estimation.cache import MISS, point_key
 from ..ir.node import IRError
+from ..ir.skeleton import Skeletons, instantiate
 from .checkpoint import CheckpointStore, PointRecord, ShardState
 from .sharding import DEFAULT_COST_MODEL, MIN_POINTS_PER_SHARD, Shard, ShardPlan
 
-# Designs estimated per estimate_many() call on the cached/batched path.
+# Analyses corrected per finish_many() call on the cached/batched path.
 DEFAULT_BATCH_SIZE = 32
 
 # An in-flight tail re-split only happens when the straggler still has at
@@ -121,13 +123,17 @@ def run_shard(
     for pieces of a split shard, whose completion only the parent can
     declare.
 
+    Each point's design is instantiated on a skeleton of its structural
+    class (:mod:`repro.ir.skeleton`): the first point of a class builds
+    it, later points re-bind its integer parameters in place.
+
     When the estimator carries an
     :class:`~repro.estimation.cache.EstimationCaches` bundle, points are
     deduplicated against its design-point cache and fresh designs are
-    estimated in blocks of ``batch_size`` through
-    :meth:`~repro.estimation.estimator.Estimator.estimate_many` (one
-    vectorized NN pass per block). Estimates are bit-identical to the
-    per-point path either way.
+    analysed one by one and corrected in blocks of ``batch_size`` through
+    :meth:`~repro.estimation.estimator.Estimator.finish_many` (one
+    vectorized NN pass per block). Estimates are bit-identical to a fresh
+    ``benchmark.build`` and the per-point path either way.
     """
     skip = skip or set()
     outcome = ShardOutcome(shard=shard.index, planned=len(shard))
@@ -141,11 +147,21 @@ def run_shard(
         if on_point is not None:
             on_point(record)
 
+    # Skeletons live for this call only: every shard pays its own builds.
+    skeletons: Skeletons = {}
+    build = functools.partial(benchmark.build, dataset)
+
+    def instantiate_point(params):
+        """The point's design under a ``build`` span and ``pass.build_s``
+        histogram, so traces cover all of ``dse.point_latency_s``."""
+        with obs.timed("build", "pass.build_s"):
+            return instantiate(skeletons, build, params)
+
     caches = getattr(estimator, "caches", None)
     if caches is not None and batch_size > 1:
         _run_points_batched(
             benchmark, estimator, dataset, shard, skip, emit,
-            caches, batch_size,
+            caches, batch_size, instantiate_point,
         )
     else:
         for offset, params in enumerate(shard.points):
@@ -154,7 +170,7 @@ def run_shard(
                 continue
             t0 = time.perf_counter()
             try:
-                design = _build(benchmark, dataset, params)
+                design = instantiate_point(params)
             except IRError:
                 record = PointRecord(index, dict(params), None,
                                      time.perf_counter() - t0)
@@ -172,36 +188,33 @@ def run_shard(
     return outcome
 
 
-def _build(benchmark, dataset, params):
-    """``benchmark.build`` under a ``build`` span and ``pass.build_s``
-    histogram, so traces cover all of ``dse.point_latency_s``."""
-    with obs.timed("build", "pass.build_s"):
-        return benchmark.build(dataset, **params)
-
-
 def _run_points_batched(
-    benchmark, estimator, dataset, shard, skip, emit, caches, batch_size
+    benchmark, estimator, dataset, shard, skip, emit, caches, batch_size,
+    instantiate_point,
 ) -> None:
-    """Cached shard path: dedupe via the points cache, estimate in blocks.
+    """Cached shard path: dedupe via the points cache, correct in blocks.
 
     Cache hits (including cached-illegal points, stored as ``None``) emit
-    immediately; fresh legal designs are buffered and flushed through
-    ``estimate_many``. Per-point latency for batched points is the build
-    time plus an even share of the batch's estimation time.
+    immediately. Each fresh legal design is analysed as soon as it is
+    instantiated -- the next point of its class re-binds the same
+    skeleton -- and the analyses are buffered and flushed through
+    ``finish_many``, one vectorized NN pass per block. Per-point latency
+    for batched points is the instantiate + analyse time plus an even
+    share of the block's correction time.
     """
-    pending: List[tuple] = []  # (index, params, key, design, build_s)
+    pending: List[tuple] = []  # (index, params, key, analysis, latency_s)
 
     def flush() -> None:
         if not pending:
             return
         t0 = time.perf_counter()
-        estimates = estimator.estimate_many([p[3] for p in pending])
+        estimates = estimator.finish_many([p[3] for p in pending])
         share = (time.perf_counter() - t0) / len(pending)
-        for (index, params, key, _, build_s), estimate in zip(
+        for (index, params, key, _, latency_s), estimate in zip(
             pending, estimates
         ):
             caches.points.put(key, estimate)
-            emit(PointRecord(index, dict(params), estimate, build_s + share))
+            emit(PointRecord(index, dict(params), estimate, latency_s + share))
         pending.clear()
 
     for offset, params in enumerate(shard.points):
@@ -216,13 +229,14 @@ def _run_points_batched(
                              time.perf_counter() - t0))
             continue
         try:
-            design = _build(benchmark, dataset, params)
+            design = instantiate_point(params)
         except IRError:
             caches.points.put(key, None)
             emit(PointRecord(index, dict(params), None,
                              time.perf_counter() - t0))
             continue
-        pending.append((index, params, key, design,
+        analysis = estimator.analyze(design)
+        pending.append((index, params, key, analysis,
                         time.perf_counter() - t0))
         if len(pending) >= batch_size:
             flush()

@@ -86,8 +86,8 @@ def simulate_transfer(
         obs.counter("dram.transfers").inc()
         obs.counter("dram.bytes").inc(total_bytes)
         obs.counter("dram.contention_cycles").inc(int(wait_cycles))
-        obs.histogram("dram.wait_cycles").observe(wait_cycles)
-        obs.histogram("dram.interleave_efficiency").observe(eff)
+        obs.histogram("dram.wait_cycles", unit="cycles").observe(wait_cycles)
+        obs.histogram("dram.interleave_efficiency", unit="ratio").observe(eff)
 
     return TransferTiming(
         total=total,

@@ -5,7 +5,7 @@ and estimated with a committed set of trained models
 (``tests/golden/estimator_models.json``, so training numerics play no
 part). The SHA-256 of the points' ``estimate_to_doc`` records must match
 ``tests/golden/estimate_digests.json`` on the cold, cached and batched
-paths alike.
+paths alike, and for designs instantiated on skeletons.
 
 Regenerate both fixtures only when an estimate is meant to change::
 
@@ -14,6 +14,7 @@ Regenerate both fixtures only when an estimate is meant to change::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -26,6 +27,7 @@ from repro.apps.extras import all_extras
 from repro.estimation import Estimator
 from repro.estimation.store import load_estimator, save_estimator
 from repro.ir import IRError
+from repro.ir.skeleton import instantiate
 from repro.runtime.checkpoint import estimate_to_doc
 from repro.target import MAIA
 
@@ -38,20 +40,27 @@ SAMPLE_SEED = 2024
 APPS = {b.name: b for b in all_benchmarks() + all_extras()}
 
 
-def sample_designs(name):
-    """Legal designs for the fixed seeded sample of one app."""
+def sample_designs(name, skeletons=None):
+    """Legal designs for the fixed seeded sample of one app.
+
+    With a ``skeletons`` store the designs are instantiated on skeletons
+    (:mod:`repro.ir.skeleton`), as DSE does: a generator whose designs
+    must each be used before the next is bound.
+    """
     bench = APPS[name]
     dataset = bench.default_dataset()
     points = bench.param_space(dataset).sample(
         random.Random(SAMPLE_SEED), POINTS_PER_APP
     )
-    designs = []
+    build = functools.partial(bench.build, dataset)
     for point in points:
         try:
-            designs.append(bench.build(dataset, **point))
+            if skeletons is None:
+                yield build(**point)
+            else:
+                yield instantiate(skeletons, build, point)
         except IRError:
             continue
-    return designs
 
 
 def digest(estimates) -> str:
@@ -78,11 +87,14 @@ def estimators():
 def test_estimates_match_golden_digest(golden, estimators, name):
     cold, cached = estimators
     expected = golden["apps"][name]
-    designs = sample_designs(name)
+    designs = list(sample_designs(name))
     assert len(designs) == expected["designs"]
     assert digest(cold.estimate(d) for d in designs) == expected["sha256"]
     assert digest(cached.estimate(d) for d in designs) == expected["sha256"]
     assert digest(cached.estimate_many(designs)) == expected["sha256"]
+    for estimator in (cold, cached):
+        bound = sample_designs(name, skeletons={})
+        assert digest(estimator.estimate(d) for d in bound) == expected["sha256"]
 
 
 def _capture() -> None:
@@ -91,7 +103,7 @@ def _capture() -> None:
     estimator = load_estimator(MODELS, MAIA)
     apps = {}
     for name in sorted(APPS):
-        designs = sample_designs(name)
+        designs = list(sample_designs(name))
         apps[name] = {
             "designs": len(designs),
             "sha256": digest(estimator.estimate(d) for d in designs),

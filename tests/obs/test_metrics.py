@@ -119,6 +119,38 @@ class TestRegistry:
         assert "dse.point_latency_s" in table
         assert "p95" in table
 
+    def test_summary_table_formats_each_histogram_by_its_unit(self):
+        reg = MetricsRegistry(enabled=True)
+        reg.histogram("dram.wait_cycles", unit="cycles").observe(91_113)
+        reg.histogram("dram.interleave_efficiency", unit="ratio").observe(
+            0.89696
+        )
+        reg.histogram("pass.build_s").observe(0.000123)
+        rows = {
+            line.split()[0]: line.split()[2:]
+            for line in reg.summary_table().splitlines()[2:]
+        }
+        assert rows["dram.wait_cycles"] == ["91.1kcyc"] * 4
+        assert rows["dram.interleave_efficiency"] == ["0.897"] * 4
+        assert rows["pass.build_s"] == ["123.0us"] * 4
+
+    def test_to_dict_carries_the_unit(self):
+        reg = MetricsRegistry(enabled=True)
+        reg.histogram("lat").observe(0.25)
+        reg.histogram("wait", unit="cycles").observe(3)
+        hists = reg.to_dict()["histograms"]
+        assert hists["lat"]["unit"] == "s"
+        assert hists["wait"]["unit"] == "cycles"
+
+    def test_histogram_unit_is_fixed_and_known(self):
+        reg = MetricsRegistry(enabled=True)
+        reg.histogram("wait", unit="cycles")
+        assert reg.histogram("wait", unit="cycles").unit == "cycles"
+        with pytest.raises(ValueError, match="in 'cycles'"):
+            reg.histogram("wait")
+        with pytest.raises(ValueError, match="unknown unit"):
+            reg.histogram("depth", unit="furlongs")
+
     def test_summary_table_empty(self):
         reg = MetricsRegistry(enabled=True)
         assert "no metrics recorded" in reg.summary_table()

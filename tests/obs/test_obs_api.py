@@ -108,7 +108,9 @@ class TestPipelineInstrumentation:
 
     def test_explore_batched_spans_and_cache_counters(self, estimator):
         """The cached estimator traces estimate.batch blocks instead of
-        per-point estimate spans, plus estimation.cache.* counters."""
+        per-point estimate spans, plus estimation.cache.* counters. Each
+        design's cycles/area.raw passes run as soon as the point is
+        instantiated, directly under explore, before its block flushes."""
         assert estimator.caches is not None
         estimator.caches.clear()  # session fixture may be warm already
         obs.enable()
@@ -122,11 +124,10 @@ class TestPipelineInstrumentation:
             s.parent_id == exp.span_id for s in batches
         )
         assert sum(s.attrs["batch"] for s in batches) == len(result.points)
-        batch_ids = {s.span_id for s in batches}
         for name in ("cycles", "area.raw"):
             spans = tracer.find(name)
             assert len(spans) == len(result.points)
-            assert all(s.parent_id in batch_ids for s in spans)
+            assert all(s.parent_id == exp.span_id for s in spans)
         # One vectorized NN pass per block, not one per design.
         nn = tracer.find("area.nn")
         assert len(nn) == len(batches)

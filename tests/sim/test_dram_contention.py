@@ -62,6 +62,8 @@ class TestContentionMetrics:
         assert doc["counters"]["dram.contention_cycles"] == int(timing.wait)
         assert doc["histograms"]["dram.wait_cycles"]["count"] == 1
         assert doc["histograms"]["dram.interleave_efficiency"]["count"] == 1
+        assert doc["histograms"]["dram.wait_cycles"]["unit"] == "cycles"
+        assert doc["histograms"]["dram.interleave_efficiency"]["unit"] == "ratio"
 
     def test_disabled_metrics_record_nothing(self, stream_bound):
         obs.reset()

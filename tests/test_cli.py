@@ -221,6 +221,14 @@ class TestObservabilityFlags:
             e["name"] == "codegen" for e in doc["traceEvents"]
         )
 
+    def test_report_takes_the_shared_metrics_flag(self, estimator):
+        code, text = run_cli(estimator, "report", "--points", "8", "--metrics")
+        assert code == 0
+        assert "## Observability" in text  # the report's own section
+        summary = text.rsplit("-- metrics ", 1)[1]  # the flag's summary
+        assert "dse.point_latency_s" in summary
+        assert not obs.metrics_enabled()
+
     def test_flags_leave_observability_off_afterwards(
         self, estimator, tmp_path
     ):
