@@ -15,16 +15,14 @@ machine-readable ``BENCH_table4.json`` at the repo root via the
 :mod:`repro.obs` metrics layer: per-benchmark points/sec plus the
 per-pass latency decomposition (cycle model vs area model vs NN
 corrections), so future performance PRs can diff against a committed
-baseline.  A ``parallel_dse`` section records sharded-explore throughput
-per worker count (with the host cpu count, so speedups stay honest) and
-asserts every parallel sweep enumerates exactly the serial point set.
-An ``estimation_cache`` section records the memoized+batched hot path
+baseline.  A ``parallel_dse`` section records the median wall time of a
+real gda sweep per worker count (with the host cpu count, so speedups
+stay honest; see ``benchmarks/parallel_dse.py``) and asserts every
+parallel sweep enumerates exactly the serial point set.  An
+``estimation_cache`` section records the memoized+batched hot path
 against ``--no-cache`` on identical pre-built designs (bit-identical
-estimates, >=2x floor), and a ``work_stealing`` section records the
-adaptive micro-shard scheduler against a static ``shards == workers``
-split on a straggler-skewed sweep (>=1.2x floor; see
-``benchmarks/straggler.py``); ``benchmarks/perf_gate.py`` diffs fresh
-speedup ratios against the committed ones in CI.
+estimates, >=2x floor); ``benchmarks/perf_gate.py`` diffs fresh speedup
+ratios against the committed ones in CI.
 """
 
 import json
@@ -45,20 +43,19 @@ from repro.ir import IRError
 from repro.runtime import DEFAULT_BATCH_SIZE, fork_available
 
 from conftest import write_result
-from straggler import measure_parallel_dse, measure_work_stealing
+from parallel_dse import (
+    PAR_BENCH, PAR_POINTS, PAR_REPEATS, measure_parallel_dse,
+)
 
 N_OURS = 250
 N_RESTRICTED = 25
 N_FULL = 4
 N_JSON = 40  # points per benchmark for the BENCH_table4.json decomposition
 
-# Parallel-DSE scaling section: points swept per worker count, and the
-# worker counts measured. Speedups only materialize with that many real
-# cores; the committed JSON records the host's cpu count alongside.
-N_PARALLEL = 600
+# Parallel-DSE scaling section: the worker counts measured. Speedups only
+# materialize with that many real cores; the committed JSON records the
+# host's cpu count alongside.
 PARALLEL_WORKERS = (1, 2, 4)
-PARALLEL_SHARDS = 8
-PARALLEL_BENCH = "dotproduct"
 
 # Memoized + batched hot path: points per benchmark and the minimum
 # speedup the cached/batched sweep must show over --no-cache. The CI
@@ -69,11 +66,6 @@ N_CACHE = 120
 CACHE_BENCHES = ("dotproduct", "gda")
 MIN_CACHE_SPEEDUP = 2.0
 CACHE_REPEATS = 3  # best-of-N wall times; scheduler noise never favors
-
-# Work-stealing floor: the adaptive schedule must beat the static
-# shards==workers split by at least this much on the straggler-skewed
-# sweep (see benchmarks/straggler.py for the skew construction).
-MIN_WS_SPEEDUP = 1.2
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_table4.json"
 
@@ -146,50 +138,30 @@ def test_table4_speeds(estimator, gda_points, results_dir):
 def _parallel_dse_section(estimator):
     """Measure sharded-explore throughput for each worker count.
 
-    Delegates to :func:`straggler.measure_parallel_dse` (shared with the
-    CI perf gate): every run on a fresh empty-cache estimator, every run
-    asserted to enumerate exactly the serial point set.  Speedup numbers
-    are honest: on a 1-core host all worker counts land at roughly 1.0x,
-    so the host cpu count is committed alongside.
+    Delegates to :func:`parallel_dse.measure_parallel_dse` (shared with
+    the CI perf gate): every run on a fresh empty-cache estimator, every
+    run asserted to enumerate exactly the serial point set.  Speedup
+    numbers are honest: on a 1-core host all worker counts land at
+    roughly 1.0x, so the host cpu count is committed alongside.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         cpus = os.cpu_count() or 1
 
-    rows = measure_parallel_dse(
-        estimator, PARALLEL_BENCH, N_PARALLEL,
-        workers_list=PARALLEL_WORKERS, shards=PARALLEL_SHARDS,
-    )
+    rows = measure_parallel_dse(estimator, workers_list=PARALLEL_WORKERS)
     return {
-        "benchmark": PARALLEL_BENCH,
-        "points": N_PARALLEL,
-        "shards": PARALLEL_SHARDS,
+        "benchmark": PAR_BENCH,
+        "points": PAR_POINTS,
         "cpus": cpus,
         "fork_available": fork_available(),
-        "note": "speedup_vs_serial saturates at the committed cpu count",
+        "note": (
+            f"one shard per worker; median of {PAR_REPEATS} interleaved "
+            "runs per worker count; speedup_vs_serial saturates at the "
+            "committed cpu count"
+        ),
         "workers": rows,
     }
-
-
-def _work_stealing_section(estimator):
-    """Adaptive micro-shard scheduler vs static split on a skewed sweep.
-
-    The ``>= MIN_WS_SPEEDUP`` floor is this PR's acceptance criterion;
-    the committed ratio is what ``benchmarks/perf_gate.py`` gates
-    against.
-    """
-    section = measure_work_stealing(estimator)
-    section["min_speedup"] = MIN_WS_SPEEDUP
-    assert section["speedup"] >= MIN_WS_SPEEDUP, (
-        f"adaptive schedule only {section['speedup']:.2f}x faster than "
-        f"the static split on a straggler-skewed sweep "
-        f"(floor {MIN_WS_SPEEDUP}x)"
-    )
-    assert section["adaptive"]["steals"] > 0, (
-        "adaptive run recorded no steals — the scheduler never streamed"
-    )
-    return section
 
 
 def _build_designs(bench_name, seed, count):
@@ -323,7 +295,6 @@ def _write_bench_json(estimator, gda_timings):
         "benchmarks": benches,
         "parallel_dse": _parallel_dse_section(estimator),
         "estimation_cache": _estimation_cache_section(estimator),
-        "work_stealing": _work_stealing_section(estimator),
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {BENCH_JSON}")

@@ -5,8 +5,8 @@ Subcommands mirror the paper's flow:
 * ``repro list`` — Table II benchmark inventory;
 * ``repro estimate BENCH [--set k=v ...]`` — estimate one design point;
 * ``repro explore BENCH --points N`` — design space exploration + Pareto,
-  with ``--workers``/``--shards``/``--auto-shards`` for the parallel
-  engine, ``--checkpoint-dir``/``--resume`` for kill/resume, and
+  with ``--workers``/``--shards`` for the parallel engine,
+  ``--checkpoint-dir``/``--resume`` for kill/resume, and
   ``--shard-range A:B`` for multi-host range sweeps (see
   ``docs/runtime.md``);
 * ``repro merge-checkpoints DIR`` — reunite a (multi-host) checkpoint
@@ -41,7 +41,7 @@ from .codegen import generate_maxj
 from .dse import explore, merge_checkpoints
 from .estimation import Estimator, default_estimator
 from .estimation.power import estimate_power
-from .runtime import CheckpointError, ConservationError
+from .runtime import CheckpointError, ConservationError, ShardRangeError
 from .sim import simulate
 
 
@@ -196,17 +196,8 @@ def _parse_parallel_args(args):
     if args.shards is not None and args.shards < 1:
         raise SystemExit(
             f"--shards expects a positive integer (got {args.shards}); "
-            "omit it to default to one shard per worker, or use "
-            "--auto-shards for cost-model micro-sharding"
+            "omit it to default to one shard per worker"
         )
-    shards = args.shards
-    if getattr(args, "auto_shards", False):
-        if shards is not None:
-            raise SystemExit(
-                "--auto-shards and --shards are mutually exclusive: "
-                "pick a fixed shard count or let the cost model size them"
-            )
-        shards = "auto"
     shard_range = None
     if getattr(args, "shard_range", None):
         shard_range = _parse_shard_range(args.shard_range)
@@ -226,7 +217,7 @@ def _parse_parallel_args(args):
             "make sense when their shards land somewhere "
             "'repro merge-checkpoints' can reunite them"
         )
-    return shards, shard_range, checkpoint_dir, resume
+    return args.shards, shard_range, checkpoint_dir, resume
 
 
 def _print_pareto(result, show: int, out) -> None:
@@ -252,7 +243,7 @@ def cmd_explore(args, out, estimator: Optional[Estimator] = None) -> int:
             checkpoint_dir=checkpoint_dir, resume=resume,
             shard_range=shard_range,
         )
-    except CheckpointError as exc:
+    except (CheckpointError, ShardRangeError) as exc:
         raise SystemExit(str(exc)) from None
     parallel = ""
     if result.shards > 1 or result.workers > 1 or result.restored:
@@ -261,10 +252,6 @@ def cmd_explore(args, out, estimator: Optional[Estimator] = None) -> int:
             lo, hi = result.shard_range
             parallel += (
                 f" (range {lo}:{hi} of {result.total_shards} shards)"
-            )
-        if result.steals or result.requeued:
-            parallel += (
-                f"; {result.steals} steals, {result.requeued} requeued"
             )
         if result.restored:
             parallel += f"; {result.restored} restored from checkpoint"
@@ -487,9 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=None,
                    help="sampling shards (default: one per worker; any "
                    "value yields identical points for a fixed seed)")
-    p.add_argument("--auto-shards", action="store_true",
-                   help="size micro-shards from the runtime cost model "
-                   "(shards >> workers, enables work stealing)")
     p.add_argument("--shard-range", metavar="A:B",
                    help="sweep only shards A..B-1 of the full partition "
                    "(multi-host: disjoint ranges into one "

@@ -86,8 +86,6 @@ class ExplorationResult:
     restored: int = 0
     total_shards: int = 0  # full partition size (== shards unless ranged)
     shard_range: Optional[Tuple[int, int]] = None
-    steals: int = 0
-    requeued: int = 0
 
     @property
     def valid_points(self) -> List[DesignPoint]:
@@ -135,26 +133,23 @@ def explore(
     max_points: int = DEFAULT_MAX_POINTS,
     seed: int = 1,
     progress_every: int = PROGRESS_EVERY,
-    shards: Optional[Union[int, str]] = None,
+    shards: Optional[int] = None,
     workers: int = 1,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     batch_size: int = DEFAULT_BATCH_SIZE,
     shard_range: Optional[Tuple[int, int]] = None,
-    tail_split: bool = True,
 ) -> ExplorationResult:
     """Explore ``benchmark``'s design space with ``estimator``.
 
     ``shards`` defaults to ``workers`` (one shard per worker); any
     explicit value yields the same points and Pareto front, only
-    different heartbeat/checkpoint granularity. ``shards="auto"`` sizes
-    micro-shards ≫ workers from the runtime's cost model so the
-    streaming scheduler can work-steal around expensive regions
-    (``tail_split`` additionally re-splits the final straggler in
-    flight). ``workers > 1`` forks a process pool after the estimator is
-    trained. ``checkpoint_dir`` writes per-shard JSONL checkpoints
-    there; ``resume=True`` restores completed work from that directory
-    instead of re-estimating it.
+    different heartbeat/checkpoint granularity. ``workers > 1`` forks a
+    process pool after the estimator is trained; with more shards than
+    workers, idle workers take the next shard from the executor's queue.
+    ``checkpoint_dir`` writes per-shard JSONL checkpoints there;
+    ``resume=True`` restores completed work from that directory instead
+    of re-estimating it.
 
     ``shard_range=(lo, hi)`` sweeps only shards ``lo..hi-1`` of the full
     partition — the multi-host knob: disjoint ranges on different hosts,
@@ -191,11 +186,10 @@ def explore(
 
     with obs.span(
         "explore", bench=benchmark.name, budget=max_points, seed=seed,
-        shards=str(shards), workers=workers,
+        shards=shards, workers=workers,
     ) as sp:
         plan = plan_shards(
-            space, seed, max_points, shards,
-            shard_range=shard_range, workers=workers,
+            space, seed, max_points, shards, shard_range=shard_range,
         )
         obs.counter("dse.points.sampled").inc(plan.total_points)
 
@@ -207,7 +201,6 @@ def explore(
             benchmark, estimator, dataset, plan,
             workers=workers, store=store, resume=resume,
             progress_every=progress_every, batch_size=batch_size,
-            tail_split=tail_split,
         )
         records, conservation = merge_outcomes(plan, run.outcomes)
         conservation.verify()
@@ -223,8 +216,6 @@ def explore(
             restored=run.restored,
             total_shards=plan.planned_shards,
             shard_range=plan.shard_range,
-            steals=run.steals,
-            requeued=run.requeued,
         )
         result.points = [
             DesignPoint(r.params, r.estimate)
@@ -234,7 +225,6 @@ def explore(
             points=len(result.points),
             valid=sum(1 for p in result.points if p.valid),
             restored=run.restored,
-            steals=run.steals,
             elapsed_s=round(result.elapsed_seconds, 6),
         )
     return result

@@ -45,11 +45,9 @@ from .pool import (
     run_shard,
 )
 from .sharding import (
-    DEFAULT_COST_MODEL,
-    DEFAULT_OVERSUBSCRIPTION,
     Shard,
-    ShardCostModel,
     ShardPlan,
+    ShardRangeError,
     plan_shards,
     resolve_shard_count,
     shard_seed,
@@ -59,16 +57,14 @@ __all__ = [
     "CheckpointError",
     "CheckpointStore",
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_COST_MODEL",
-    "DEFAULT_OVERSUBSCRIPTION",
     "Conservation",
     "ConservationError",
     "PointRecord",
     "RunOutcome",
     "Shard",
-    "ShardCostModel",
     "ShardOutcome",
     "ShardPlan",
+    "ShardRangeError",
     "ShardWriter",
     "estimate_from_doc",
     "estimate_to_doc",

@@ -270,9 +270,12 @@ class CheckpointStore:
     ) -> Dict[int, ShardState]:
         """Prepare the directory and return per-shard restored state.
 
-        Fresh runs (``resume=False``) write the manifest and truncate
-        stale files for the plan's *own* shards only — a host assigned a
-        shard range never clobbers its siblings' shard files. When a
+        Fresh runs (``resume=False``) write the manifest and delete stale
+        files. A whole-run plan deletes every shard file and host sidecar
+        in the directory, so a re-sharded run leaves nothing of the old
+        partition behind; a ranged plan deletes only its *own* shard
+        files — a host assigned a shard range never clobbers its
+        siblings' shard files. When a
         manifest from the same global run already exists (another host
         got there first) it is left in place; a mismatched one is a
         :class:`CheckpointError` rather than a silent overwrite. Resumed
@@ -282,7 +285,7 @@ class CheckpointStore:
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         if resume:
-            states = self._load(benchmark, dataset, plan)
+            states = self.load(benchmark, dataset, plan)
             self._write_host_manifest(plan)
             return states
         expected = self._manifest_doc(benchmark, dataset, plan)
@@ -295,14 +298,17 @@ class CheckpointStore:
                     f"({self._mismatch_detail(expected, mismatched)}); "
                     "refusing to add this shard range to it"
                 )
+        if plan.shard_range is None:
+            stale = [*self.directory.glob("shard-*.jsonl"),
+                     *self.directory.glob("host-*.json")]
+        else:
+            stale = [self.shard_path(shard.index) for shard in plan.shards]
+        for path in stale:
+            path.unlink(missing_ok=True)
         self.manifest_path.write_text(
             json.dumps(expected, indent=2) + "\n"
         )
         self._write_host_manifest(plan)
-        for shard in plan.shards:
-            path = self.shard_path(shard.index)
-            if path.exists():
-                path.unlink()
         return {shard.index: ShardState() for shard in plan.shards}
 
     def _mismatched_keys(self, expected: Dict[str, object]) -> List[str]:
@@ -330,11 +336,6 @@ class CheckpointStore:
         raises :class:`CheckpointError` on a missing or mismatched
         manifest.
         """
-        return self._load(benchmark, dataset, plan)
-
-    def _load(
-        self, benchmark: str, dataset: Dict[str, int], plan: ShardPlan
-    ) -> Dict[int, ShardState]:
         if not self.manifest_path.exists():
             raise CheckpointError(
                 f"no checkpoint manifest in {self.directory} — "
@@ -411,42 +412,6 @@ class CheckpointStore:
             append=append,
             flush_every=self.flush_every,
         )
-
-    def piece_writer(self, shard: Shard) -> ShardWriter:
-        """Writer for one *piece* of a split shard (see ``pool.py``).
-
-        Pieces of the same shard run in different worker processes and
-        append to the same JSONL file, so every line is flushed
-        individually — each line lands as one atomic O_APPEND write and
-        concurrent pieces can never interleave bytes mid-line.
-        """
-        return ShardWriter(
-            self.shard_path(shard.index), append=True, flush_every=1
-        )
-
-    def prepare_split(self, shard: Shard, preserve: bool) -> None:
-        """Make a shard file appendable by concurrent pieces.
-
-        ``preserve=False`` (no prior records to keep) truncates once in
-        the parent so no piece has to — two pieces opening with ``"w"``
-        would race and drop each other's records.
-        """
-        path = self.shard_path(shard.index)
-        if not preserve:
-            path.write_text("")
-        elif not path.exists():
-            path.touch()
-
-    def finish(self, shard: Shard) -> None:
-        """Append a shard's terminal ``done`` marker from the parent.
-
-        Used for split shards, whose pieces cannot individually know the
-        shard completed.
-        """
-        with ShardWriter(
-            self.shard_path(shard.index), append=True, flush_every=1
-        ) as writer:
-            writer.done(shard)
 
 
 def read_manifest(directory: Union[str, Path]) -> Dict[str, object]:

@@ -15,44 +15,24 @@ shards, for any stochastic work a shard-local policy may need (e.g. a
 guided-search extension). The point *enumeration* never consumes these
 streams, so using them cannot perturb reproducibility.
 
-Two scheduling extensions ride on the same invariant:
-
-* ``shard_range=(lo, hi)`` assigns a plan only the shards with global
-  index in ``[lo, hi)``. Because the *partition* is computed over the
-  full sample regardless of the range, disjoint ranges on disjoint hosts
-  tile the exact serial point set — the multi-host protocol's foundation
-  (see ``docs/runtime.md``).
-* ``shards="auto"`` picks a shard count ≫ workers (micro-shards) from a
-  :class:`ShardCostModel` seeded by past ``ShardOutcome.elapsed_s``
-  history, so the executor queue load-balances expensive regions instead
-  of letting one unlucky contiguous shard straggle.
+``shard_range=(lo, hi)`` assigns a plan only the shards with global
+index in ``[lo, hi)``. Because the *partition* is computed over the full
+sample regardless of the range, disjoint ranges on disjoint hosts tile
+the exact serial point set — the multi-host protocol's foundation (see
+``docs/runtime.md``).
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..params import ParamSpace
 
 Point = Dict[str, object]
 
 _MASK64 = (1 << 64) - 1
-
-#: Micro-shards per worker when sizing shards automatically. Small enough
-#: that shard bookkeeping stays negligible, large enough that one
-#: expensive contiguous region spreads over several queue entries.
-DEFAULT_OVERSUBSCRIPTION = 8
-
-#: Never auto-split below this many points per shard (checkpoint lines
-#: and heartbeat instants are per shard; pathological micro-shards would
-#: drown the sweep in bookkeeping).
-MIN_POINTS_PER_SHARD = 4
-
-#: Upper bound on automatically chosen shard counts.
-MAX_AUTO_SHARDS = 512
 
 
 def shard_seed(seed: int, index: int) -> int:
@@ -142,109 +122,14 @@ class ShardPlan:
         return out
 
 
-class ShardCostModel:
-    """Online per-point cost statistics from completed shards.
-
-    The scheduler feeds every finished :class:`ShardOutcome` back here
-    (``points``, ``elapsed_s``); :meth:`suggest_shards` then sizes
-    micro-shards for the *next* sweep. Two signals matter:
-
-    * the mean per-point cost is irrelevant to shard count (work
-      stealing balances any absolute cost), but
-    * the *dispersion* of per-shard per-point cost is exactly the
-      straggler risk — when shards that should cost the same diverge,
-      finer shards let the executor queue re-balance them.
-
-    Thread-safe; the default process-wide instance is
-    :data:`DEFAULT_COST_MODEL`.
-    """
-
-    def __init__(self, window: int = 64) -> None:
-        self._lock = threading.Lock()
-        self._window = max(int(window), 8)
-        self._costs: List[float] = []  # per-point seconds, recent shards
-
-    def observe(self, points: int, elapsed_s: float) -> None:
-        """Record one completed shard's (points, wall seconds)."""
-        if points <= 0 or elapsed_s <= 0:
-            return
-        with self._lock:
-            self._costs.append(elapsed_s / points)
-            if len(self._costs) > self._window:
-                del self._costs[: len(self._costs) - self._window]
-
-    @property
-    def samples(self) -> int:
-        """Number of shard observations currently in the window."""
-        return len(self._costs)
-
-    @property
-    def cost_per_point(self) -> float:
-        """Mean observed per-point cost in seconds (0.0 when empty)."""
-        with self._lock:
-            if not self._costs:
-                return 0.0
-            return sum(self._costs) / len(self._costs)
-
-    @property
-    def dispersion(self) -> float:
-        """Coefficient of variation of per-shard per-point cost.
-
-        0.0 with fewer than two observations — no evidence of skew.
-        """
-        with self._lock:
-            if len(self._costs) < 2:
-                return 0.0
-            mean = sum(self._costs) / len(self._costs)
-            if mean <= 0:
-                return 0.0
-            var = sum((c - mean) ** 2 for c in self._costs) / len(self._costs)
-            return (var ** 0.5) / mean
-
-    def suggest_shards(
-        self,
-        total_points: int,
-        workers: int,
-        oversubscription: int = DEFAULT_OVERSUBSCRIPTION,
-    ) -> int:
-        """Shard count for ``total_points`` across ``workers`` workers.
-
-        Baseline is ``workers * oversubscription`` micro-shards; observed
-        cost dispersion above ~25% doubles the oversubscription (finer
-        shards shrink the worst-case tail a straggler can hold), clamped
-        so no shard falls below :data:`MIN_POINTS_PER_SHARD` points and
-        the count never exceeds :data:`MAX_AUTO_SHARDS`.
-        """
-        if total_points <= 0:
-            return 1
-        factor = oversubscription
-        if self.dispersion > 0.25:
-            factor = oversubscription * 2
-        shards = max(workers, 1) * factor
-        shards = min(shards, MAX_AUTO_SHARDS,
-                     max(total_points // MIN_POINTS_PER_SHARD, 1))
-        return max(shards, 1)
+class ShardRangeError(ValueError):
+    """A ``shard_range`` that does not name shards of the plan."""
 
 
-#: Process-wide cost history; ``run_plan`` feeds it, ``shards="auto"``
-#: consumes it. Reset-free: a bounded window forgets stale sweeps.
-DEFAULT_COST_MODEL = ShardCostModel()
-
-
-def resolve_shard_count(
-    shards: Union[int, str],
-    total_points: int,
-    workers: int = 1,
-    cost_model: Optional[ShardCostModel] = None,
-) -> int:
-    """Validate/resolve a shard-count request (``"auto"`` or a positive int)."""
-    if shards == "auto":
-        model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-        return model.suggest_shards(total_points, workers)
+def resolve_shard_count(shards: int) -> int:
+    """Validate a shard-count request: a positive integer (not a bool)."""
     if not isinstance(shards, int) or isinstance(shards, bool):
-        raise ValueError(
-            f"shards must be a positive integer or 'auto', got {shards!r}"
-        )
+        raise ValueError(f"shards must be a positive integer, got {shards!r}")
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     return shards
@@ -254,27 +139,24 @@ def plan_shards(
     space: ParamSpace,
     seed: int,
     max_points: int,
-    shards: Union[int, str] = 1,
+    shards: int = 1,
     shard_range: Optional[Tuple[int, int]] = None,
-    workers: int = 1,
-    cost_model: Optional[ShardCostModel] = None,
 ) -> ShardPlan:
     """Sample ``space`` exactly as the serial explorer would, then split.
 
-    Raises :class:`ValueError` for a non-positive shard count. The
+    Raises :class:`ValueError` for a non-positive shard count and
+    :class:`ShardRangeError` for a range outside the partition. The
     partition is contiguous and balanced: the first ``total % shards``
     shards get one extra point. A plan may contain fewer (non-empty)
     shards than requested when the sample is small.
 
-    ``shards="auto"`` sizes micro-shards from ``cost_model`` (default:
-    the process-wide :data:`DEFAULT_COST_MODEL`) and ``workers``.
     ``shard_range=(lo, hi)`` assigns the plan only the shards with index
     in ``[lo, hi)`` — the full partition is still computed first, so
     disjoint ranges across hosts tile the serial point set exactly.
     """
     rng = random.Random(seed)
     sampled = space.sample(rng, max_points)
-    n_shards = resolve_shard_count(shards, len(sampled), workers, cost_model)
+    n_shards = resolve_shard_count(shards)
     plan = ShardPlan(
         seed=seed, max_points=max_points, space_cardinality=space.cardinality,
         global_points=len(sampled),
@@ -303,11 +185,11 @@ def plan_shards(
     if not (isinstance(lo, int) and isinstance(hi, int)) or isinstance(
         lo, bool
     ) or isinstance(hi, bool):
-        raise ValueError(
+        raise ShardRangeError(
             f"shard_range must be a pair of integers, got {shard_range!r}"
         )
     if not (0 <= lo < hi <= plan.planned_shards):
-        raise ValueError(
+        raise ShardRangeError(
             f"shard_range {lo}:{hi} outside the plan's "
             f"{plan.planned_shards} shards (need 0 <= lo < hi <= "
             f"{plan.planned_shards})"

@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.apps import get_benchmark
-from repro.dse import explore
+from repro.dse import explore, merge_checkpoints
 from repro.runtime import (
     CheckpointError,
     CheckpointStore,
@@ -147,6 +147,35 @@ class TestManifestValidation:
                         shards=4, checkpoint_dir=ckpt)
         assert again.restored == 0
         assert fingerprint(again) == fingerprint(serial)
+
+    def test_fresh_run_removes_files_of_an_old_partition(
+        self, estimator, bench, tmp_path
+    ):
+        """Re-sharding into a used directory leaves no stale shard or
+        host files: the summary and the merge see only the new plan."""
+        ckpt = tmp_path / "ckpt"
+        explore(bench, estimator, max_points=POINTS, seed=3,
+                shards=8, checkpoint_dir=ckpt)
+        again = explore(bench, estimator, max_points=POINTS, seed=3,
+                        shards=2, checkpoint_dir=ckpt)
+        summary = load_summary(ckpt)
+        assert summary["manifest"]["shards"] == 2
+        assert [name for name, _, _ in summary["shards"]] == [
+            "shard-0000.jsonl", "shard-0001.jsonl",
+        ]
+        hosts = CheckpointStore(ckpt).host_manifests()
+        assert [h["shard_range"] for h in hosts] == [[0, 2]]
+        obs.reset()
+        obs.enable(trace=True)
+        try:
+            merged = merge_checkpoints(ckpt, estimator)
+            (span,) = [s for s in obs.tracer().spans
+                       if s.name == "merge_checkpoints"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert span.attrs["hosts"] == 1
+        assert fingerprint(merged) == fingerprint(again)
 
 
 class TestLoadSummary:

@@ -47,34 +47,11 @@ def test_matrix_identical_to_serial(estimator, serial, shards, workers):
     assert result.legal_sampled == serial.legal_sampled
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_auto_shards_identical_to_serial(estimator, serial, workers):
-    """Cost-model micro-sharding is a scheduling detail, not a result."""
-    bench = get_benchmark("tpchq6")
-    result = explore(
-        bench, estimator, max_points=POINTS, seed=SEED,
-        shards="auto", workers=workers,
-    )
-    assert fingerprint(result) == fingerprint(serial)
-    assert front(result) == front(serial)
-    assert result.shards > workers  # genuinely micro-sharded
-
-
-def test_tail_split_identical_to_serial(estimator, serial):
-    """One big shard re-split in flight still sweeps the serial set."""
-    bench = get_benchmark("tpchq6")
-    result = explore(
-        bench, estimator, max_points=POINTS, seed=SEED,
-        shards=1, workers=2,
-    )
-    assert fingerprint(result) == fingerprint(serial)
-    assert result.requeued >= 2  # the single shard was split into pieces
-
-
 def test_explore_rejects_bogus_shard_string(estimator):
     bench = get_benchmark("tpchq6")
-    with pytest.raises(ValueError, match="shards must be"):
-        explore(bench, estimator, max_points=12, shards="turbo")
+    for bad in ("turbo", "auto", True):
+        with pytest.raises(ValueError, match="shards must be"):
+            explore(bench, estimator, max_points=12, shards=bad)
 
 
 def test_default_shards_follow_workers(estimator):

@@ -6,12 +6,8 @@ import pytest
 
 from repro.apps import get_benchmark
 from repro.runtime import (
-    ShardCostModel,
-    plan_shards,
-    resolve_shard_count,
-    shard_seed,
+    ShardRangeError, plan_shards, resolve_shard_count, shard_seed,
 )
-from repro.runtime.sharding import MAX_AUTO_SHARDS, MIN_POINTS_PER_SHARD
 
 
 @pytest.fixture(scope="module")
@@ -84,75 +80,22 @@ class TestShardRange:
 
     def test_out_of_bounds_range_rejected(self, space):
         for bad in ((0, 7), (-1, 2), (3, 3), (4, 2)):
-            with pytest.raises(ValueError, match="shard_range"):
+            with pytest.raises(ShardRangeError, match="shard_range"):
                 plan_shards(space, 5, 60, 6, shard_range=bad)
 
     def test_non_integer_range_rejected(self, space):
-        with pytest.raises(ValueError, match="pair of integers"):
+        with pytest.raises(ShardRangeError, match="pair of integers"):
             plan_shards(space, 5, 60, 6, shard_range=(0, True))
 
 
-class TestShardCostModel:
-    def test_no_history_uses_default_oversubscription(self):
-        model = ShardCostModel()
-        assert model.suggest_shards(10_000, workers=2) == 16
-
-    def test_dispersion_doubles_oversubscription(self):
-        model = ShardCostModel()
-        for cost in (0.001, 0.001, 0.001, 0.05, 0.05):
-            model.observe(10, cost * 10)
-        assert model.dispersion > 0.25
-        assert model.suggest_shards(10_000, workers=2) == 32
-
-    def test_uniform_costs_have_low_dispersion(self):
-        model = ShardCostModel()
-        for _ in range(10):
-            model.observe(10, 0.01)
-        assert model.dispersion < 0.01
-        assert model.suggest_shards(10_000, workers=2) == 16
-
-    def test_min_points_per_shard_clamp(self):
-        model = ShardCostModel()
-        tiny = model.suggest_shards(12, workers=2)
-        assert tiny == 12 // MIN_POINTS_PER_SHARD
-
-    def test_max_auto_shards_clamp(self):
-        model = ShardCostModel()
-        assert model.suggest_shards(10**6, workers=128) == MAX_AUTO_SHARDS
-
-    def test_window_forgets_stale_history(self):
-        model = ShardCostModel(window=8)
-        for _ in range(100):
-            model.observe(10, 0.01)
-        assert model.samples == 8
-
-    def test_degenerate_observations_ignored(self):
-        model = ShardCostModel()
-        model.observe(0, 1.0)
-        model.observe(10, 0.0)
-        assert model.samples == 0
-        assert model.cost_per_point == 0.0
-
-
 class TestResolveShardCount:
-    def test_auto_consults_model(self):
-        model = ShardCostModel()
-        assert resolve_shard_count("auto", 10_000, 2, model) == 16
-
     def test_int_passthrough(self):
-        assert resolve_shard_count(7, 10_000, 2) == 7
+        assert resolve_shard_count(7) == 7
 
     def test_rejects_bogus_strings_and_bools(self):
-        for bad in ("fast", 1.5, True):
+        for bad in ("fast", "auto", 1.5, True, 0, -3):
             with pytest.raises(ValueError, match="shards must be"):
-                resolve_shard_count(bad, 100, 1)
-
-    def test_auto_plan_micro_shards(self, space):
-        plan = plan_shards(space, 5, 60, "auto", workers=2,
-                           cost_model=ShardCostModel())
-        assert plan.n_shards > 2
-        reference = serial_sample(space, 5, 60)
-        assert plan.sampled_points() == reference
+                resolve_shard_count(bad)
 
 
 class TestShardSeeds:

@@ -1,12 +1,21 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.cli import _parse_overrides, main
+
+
+# A flag the CLI no longer has; it must stay an exit-2 usage error.
+REMOVED_FLAG = "--auto-shards"
 
 
 def run_cli(estimator, *argv):
@@ -259,6 +268,8 @@ class TestBadInputs:
             (["explore", "gda", "--points", "-5"],
              "--points: expected a positive integer, got '-5'"),
             (["report", "--points", "0"], "expected a positive integer"),
+            (["explore", "tpchq6", REMOVED_FLAG],
+             f"unrecognized arguments: {REMOVED_FLAG}"),
         ],
     )
     def test_one_line_usage_error(self, estimator, capsys, argv, message):
@@ -339,6 +350,75 @@ class TestParallelExploreFlags:
         assert "20 restored from checkpoint" in text
 
 
+# Flag values the fuzz test combines: (valid, invalid). ``=`` joins them
+# so argparse takes a leading minus as a value.
+_FLAG_VALUES = {
+    "--workers": (["1", "2", "3"], ["0", "-1", "x"]),
+    "--shards": (["1", "2", "7"], ["0", "-3", "2.5"]),
+    "--shard-range": (["0:1", "1:3", "0:7"],
+                      ["0:40", "2:2", "3:1", "-1:2", "a:b", "3"]),
+}
+
+
+@st.composite
+def _parallel_argv(draw):
+    """``explore tpchq6`` argv over the parallel flags; directories are
+    named by role and resolved per example (``ckpt``: fresh directory;
+    ``done``: a finished 12-point two-shard checkpoint; ``none``: never
+    created)."""
+    argv = ["explore", "tpchq6", "--points", str(draw(st.integers(1, 12)))]
+    for flag, (valid, invalid) in _FLAG_VALUES.items():
+        kind = draw(st.sampled_from(["omit", "omit", "valid", "valid",
+                                     "invalid"]))
+        if kind != "omit":
+            values = valid if kind == "valid" else invalid
+            argv.append(f"{flag}={draw(st.sampled_from(values))}")
+    checkpoint = draw(st.sampled_from([None, "ckpt", "done"]))
+    if checkpoint:
+        argv += ["--checkpoint-dir", checkpoint]
+    resume = draw(st.sampled_from([None, None, "ckpt", "done", "none"]))
+    if resume:
+        argv += ["--resume", resume]
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(REMOVED_FLAG)
+    return argv
+
+
+class TestParallelFlagFuzz:
+    """Every combination of the parallel flags either runs or fails with
+    one line: never a traceback."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(argv=_parallel_argv())
+    def test_exit_zero_or_one_line_error(self, estimator, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            if "done" in argv:
+                main(["explore", "tpchq6", "--points", "12", "--shards",
+                      "2", "--checkpoint-dir", str(root / "done")],
+                     out=io.StringIO(), estimator=estimator)
+            argv = [str(root / a) if a in ("ckpt", "done", "none") else a
+                    for a in argv]
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(err):
+                    code = main(argv, out=io.StringIO(),
+                                estimator=estimator)
+            except SystemExit as exc:
+                if isinstance(exc.code, str):
+                    message = exc.code  # printed by the interpreter
+                else:
+                    assert exc.code == 2, argv
+                    message = err.getvalue().rstrip("\n")
+                assert message and "\n" not in message, (argv, message)
+                assert "Traceback" not in message
+                if REMOVED_FLAG in argv:
+                    assert exc.code == 2, argv
+            else:
+                assert code == 0, argv
+                assert REMOVED_FLAG not in argv
+
+
 class TestStreamingTraceFlag:
     def test_trace_jsonl_streams_spans(self, estimator, tmp_path):
         estimator.caches.clear()
@@ -399,18 +479,13 @@ class TestShardRangeFlags:
             run_cli(estimator, "explore", "tpchq6", "--points", "10",
                     "--shards", "4", "--shard-range", "0:2")
 
-    def test_auto_shards_conflicts_with_shards(self, estimator):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            run_cli(estimator, "explore", "tpchq6",
-                    "--auto-shards", "--shards", "4")
-
-    def test_auto_shards_micro_shards(self, estimator):
-        code, text = run_cli(
-            estimator, "explore", "tpchq6", "--points", "24", "--seed", "2",
-            "--auto-shards",
-        )
-        assert code == 0
-        assert "shards x 1 workers" in text
+    def test_range_past_filled_shards_is_friendly(self, estimator,
+                                                  tmp_path):
+        # Two sampled points fill only two of the four requested shards.
+        with pytest.raises(SystemExit, match="outside the plan's 2 shards"):
+            run_cli(estimator, "explore", "tpchq6", "--points", "2",
+                    "--shards", "4", "--shard-range", "0:4",
+                    "--checkpoint-dir", str(tmp_path / "ckpt"))
 
     def test_ranged_explore_reports_range(self, estimator, tmp_path):
         ckpt = tmp_path / "ckpt"
