@@ -99,7 +99,7 @@ def measure_speedups(
     caches, with bit-identity of every estimate asserted.
     """
     from repro.estimation import Estimator, default_estimator
-    from repro.runtime import DEFAULT_BATCH_SIZE
+    from repro.runtime import BATCH_SIZE
 
     warm_models = default_estimator()
     cold = Estimator(
@@ -125,9 +125,9 @@ def measure_speedups(
             )
             start = time.perf_counter()
             cached_estimates = []
-            for lo in range(0, len(designs), DEFAULT_BATCH_SIZE):
+            for lo in range(0, len(designs), BATCH_SIZE):
                 cached_estimates.extend(
-                    cached.estimate_many(designs[lo:lo + DEFAULT_BATCH_SIZE])
+                    cached.estimate_many(designs[lo:lo + BATCH_SIZE])
                 )
             cached_s = min(cached_s, time.perf_counter() - start)
 

@@ -40,7 +40,7 @@ from repro.apps import all_benchmarks, get_benchmark
 from repro.estimation import Estimator
 from repro.hls import HLSExplosionError, HLSTool
 from repro.ir import IRError
-from repro.runtime import DEFAULT_BATCH_SIZE, fork_available
+from repro.runtime import BATCH_SIZE, fork_available
 
 from conftest import write_result
 from parallel_dse import (
@@ -213,9 +213,9 @@ def _estimation_cache_section(estimator):
             )
             start = time.perf_counter()
             warm_estimates = []
-            for lo in range(0, len(designs), DEFAULT_BATCH_SIZE):
+            for lo in range(0, len(designs), BATCH_SIZE):
                 warm_estimates.extend(
-                    warm.estimate_many(designs[lo:lo + DEFAULT_BATCH_SIZE])
+                    warm.estimate_many(designs[lo:lo + BATCH_SIZE])
                 )
             cached_s = min(cached_s, time.perf_counter() - start)
 
@@ -241,7 +241,7 @@ def _estimation_cache_section(estimator):
             "template_hit_rate": template["hit_rate"],
         }
     return {
-        "batch_size": DEFAULT_BATCH_SIZE,
+        "batch_size": BATCH_SIZE,
         "min_speedup": MIN_CACHE_SPEEDUP,
         "note": (
             "cached+batched estimate_many from empty caches vs the "

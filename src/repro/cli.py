@@ -22,9 +22,8 @@ Subcommands mirror the paper's flow:
 ``--trace-jsonl FILE`` (stream spans incrementally with bounded memory,
 optionally capped via ``--span-cap N``), and ``--metrics`` (print
 counter/histogram summaries); see ``docs/observability.md``. The
-estimating commands also accept ``--no-cache`` to disable the estimation
-memoization/batching layer (bit-identical results; see
-``docs/estimation_performance.md``).
+estimating commands also accept ``--no-cache``: memoization off,
+bit-identical results (see ``docs/estimation_performance.md``).
 
 Invoke as ``python -m repro ...``.
 """
@@ -32,6 +31,7 @@ Invoke as ``python -m repro ...``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -443,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_flags = argparse.ArgumentParser(add_help=False)
     cache_flags.add_argument(
         "--no-cache", action="store_true",
-        help="disable the estimation memoization/batching layer "
-        "(bit-identical results, cold hot path; see "
+        help="memoization off: estimate without the template and "
+        "schedule caches (bit-identical results; see "
         "docs/estimation_performance.md)",
     )
 
@@ -488,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         "merge-checkpoints",
         help="merge a (multi-host) checkpoint directory into the full "
         "point set — no estimation",
-        parents=[obs_flags, cache_flags],
+        parents=[obs_flags],
     )
     p.add_argument("directory", metavar="DIR",
                    help="checkpoint directory written by one or more "
@@ -559,6 +559,20 @@ def _dispatch(args, out, estimator: Optional[Estimator]) -> int:
 def main(argv: Optional[List[str]] = None, out=None,
          estimator: Optional[Estimator] = None) -> int:
     """CLI entry point; ``out`` and ``estimator`` are injectable for tests."""
+    try:
+        code = _main(argv, out, estimator)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro list | head -1``).
+        # Point stdout at devnull so the interpreter's final flush cannot
+        # raise again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: Optional[List[str]], out,
+          estimator: Optional[Estimator]) -> int:
     args = build_parser().parse_args(argv)
     out = out or sys.stdout
     trace_file = getattr(args, "trace", None)

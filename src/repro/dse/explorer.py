@@ -34,7 +34,6 @@ from .. import obs
 from ..apps.registry import Benchmark, Dataset
 from ..estimation.estimator import Estimate, Estimator
 from ..runtime import (
-    DEFAULT_BATCH_SIZE,
     CheckpointStore,
     merge_outcomes,
     outcomes_from_states,
@@ -137,7 +136,6 @@ def explore(
     workers: int = 1,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     shard_range: Optional[Tuple[int, int]] = None,
 ) -> ExplorationResult:
     """Explore ``benchmark``'s design space with ``estimator``.
@@ -160,12 +158,11 @@ def explore(
 
     Each shard instantiates its points on one design skeleton per
     structural class (:mod:`repro.ir.skeleton`) instead of re-running
-    the app's builder per point. When the estimator caches (the
-    default), fresh designs are analysed as they are bound and corrected
-    in blocks of ``batch_size`` through the vectorized ``finish_many``
-    path, and repeat points are deduped via the shared design-point
-    cache; results are bit-identical to a fresh build estimated per
-    point (``--no-cache``).
+    the app's builder per point, analyses each design as it is bound
+    and corrects the analyses in blocks through the vectorized
+    ``finish_many`` path — with or without estimation caches. Results
+    are bit-identical to ``estimator.estimate`` on a fresh build of
+    every point.
     """
     if not isinstance(workers, int) or isinstance(workers, bool):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
@@ -200,7 +197,7 @@ def explore(
         run = run_plan(
             benchmark, estimator, dataset, plan,
             workers=workers, store=store, resume=resume,
-            progress_every=progress_every, batch_size=batch_size,
+            progress_every=progress_every,
         )
         records, conservation = merge_outcomes(plan, run.outcomes)
         conservation.verify()

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..apps.registry import Benchmark, Dataset
-from ..estimation.cache import DEFAULT_POINT_ENTRIES, MISS, LRUCache, point_key
 from ..estimation.estimator import Estimate, Estimator
 from ..ir.node import IRError
 from ..ir.skeleton import Skeletons, instantiate
@@ -77,46 +76,33 @@ def local_search(
 ) -> SearchResult:
     """Randomized hill climbing on runtime over the legal space.
 
-    Point dedupe is two-level: a per-search ``seen`` map preserves the
-    walk's budget/trajectory semantics (each distinct point costs one
-    evaluation per search), while the estimator's shared design-point
-    cache (:class:`~repro.estimation.cache.EstimationCaches`) skips the
-    instantiate+estimate work for points any earlier search or exploration
-    already priced — sharing dedupe logic and hit/miss counters with the
-    sharded explore runner. Illegal points cache as ``None``.
+    A per-search ``seen`` map dedupes the walk: each distinct point is
+    instantiated and estimated once and costs one evaluation of the
+    budget; a revisit reuses its estimate (``None`` for an illegal
+    point) for free.
     """
     dataset = dataset or benchmark.default_dataset()
     space = benchmark.param_space(dataset)
     rng = random.Random(seed)
     result = SearchResult(benchmark.name, dataset)
-    caches = getattr(estimator, "caches", None)
-    point_cache: LRUCache = (
-        caches.points if caches is not None
-        else LRUCache("points", DEFAULT_POINT_ENTRIES)  # local, uncached run
-    )
     seen: Dict[Tuple, Optional[Estimate]] = {}
     # Skeletons live for this search only (see repro.ir.skeleton).
     skeletons: Skeletons = {}
     build = functools.partial(benchmark.build, dataset)
 
     def evaluate(point: Point) -> Optional[Estimate]:
-        key = point_key(benchmark.name, dataset, point)
+        key = tuple(sorted(point.items()))
         if key in seen:
             return seen[key]
         if result.evaluations >= budget:
             return None
         result.evaluations += 1
-        cached = point_cache.get(key)
-        if cached is not MISS:
-            estimate: Optional[Estimate] = cached  # type: ignore[assignment]
+        try:
+            design = instantiate(skeletons, build, point)
+        except IRError:
+            estimate: Optional[Estimate] = None
         else:
-            try:
-                design = instantiate(skeletons, build, point)
-            except IRError:
-                estimate = None
-            else:
-                estimate = estimator.estimate(design)
-            point_cache.put(key, estimate)
+            estimate = estimator.estimate(design)
         seen[key] = estimate
         if estimate is None:
             return None
@@ -158,6 +144,5 @@ def local_search(
                 if not improved:
                     break
         if result.evaluations == evals_before:
-            break  # everything reachable is cached; stop cleanly
-    point_cache.publish()
+            break  # everything reachable was seen; stop cleanly
     return result

@@ -13,7 +13,6 @@ from .cache import (
     EstimationCaches,
     LRUCache,
     PipeScheduleInfo,
-    point_key,
 )
 from .characterize import TemplateModels, characterize_templates
 from .counts import Counts
@@ -57,7 +56,6 @@ __all__ = [
     "generate_sample_design",
     "hybrid_area",
     "load_estimator",
-    "point_key",
     "raw_analysis",
     "raw_area",
     "save_estimator",

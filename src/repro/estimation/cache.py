@@ -19,14 +19,14 @@ single estimated bit:
   result (the BRAM block override) never alias cached state.
 * :class:`EstimationCaches` — the bundle an
   :class:`~repro.estimation.estimator.Estimator` owns: template
-  predictions, per-Pipe ASAP schedule/delay-balancing reuse keyed on a
-  structural hash (:func:`repro.synth.netlist.structural_signature`),
-  and a design-point estimate cache shared by guided search and the
-  sharded explore runner.
+  predictions and per-Pipe ASAP schedule/delay-balancing reuse keyed on
+  a structural hash (:func:`repro.synth.netlist.structural_signature`).
+
+There is no whole-design-point cache: a DSE sweep prices distinct
+sampled points, and guided search dedupes its own walk.
 
 Everything stored here is plain data (tuples, floats,
-:class:`~repro.estimation.counts.Counts`, pickled-tested
-:class:`~repro.estimation.estimator.Estimate` records), so caches
+:class:`~repro.estimation.counts.Counts`), so caches
 survive the fork-after-training worker pool: children inherit the warm
 parent cache copy-on-write and keep private statistics.
 
@@ -41,7 +41,7 @@ order — estimates with caching enabled are bit-identical to the
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .. import obs
 from ..synth.netlist import asap_schedule, structural_signature
@@ -49,13 +49,11 @@ from .area import delay_contributions
 from .characterize import TemplateModels
 from .counts import Counts
 
-#: Sentinel returned by :meth:`LRUCache.get` on a miss (``None`` is a
-#: legitimate cached value: an illegal design point).
+#: Sentinel returned by :meth:`LRUCache.get` on a miss.
 MISS = object()
 
 DEFAULT_TEMPLATE_ENTRIES = 65_536
 DEFAULT_SCHEDULE_ENTRIES = 8_192
-DEFAULT_POINT_ENTRIES = 32_768
 
 
 class LRUCache:
@@ -64,8 +62,7 @@ class LRUCache:
     Statistics are kept as plain integers (always on, fork-private); a
     lookup touches nothing else. :meth:`publish` pushes the counts accrued
     since the previous publish into :mod:`repro.obs` counters — the
-    estimator calls it once per ``estimate``/``estimate_many`` call and
-    the DSE runner once per shard.
+    estimator calls it once per ``estimate``/``finish_many`` call.
     """
 
     __slots__ = (
@@ -208,40 +205,21 @@ def compute_pipe_info(body) -> PipeScheduleInfo:
     return PipeScheduleInfo(latency, tuple(delay_contributions(body, times)))
 
 
-def point_key(
-    bench_name: str,
-    dataset: Dict[str, int],
-    params: Dict[str, object],
-) -> Tuple:
-    """Canonical cache key for one (benchmark, dataset, parameters) point."""
-    return (
-        bench_name,
-        tuple(sorted(dataset.items())),
-        tuple(sorted(params.items())),
-    )
-
-
 class EstimationCaches:
     """The bounded cache bundle one :class:`Estimator` owns.
 
     * ``template`` — memoized template-model predictions;
     * ``schedule`` — per-Pipe ASAP latency + delay-balancing counts,
-      keyed on :func:`~repro.synth.netlist.structural_signature`;
-    * ``points`` — full design-point estimates keyed on
-      :func:`point_key`, shared by guided search
-      (:func:`repro.dse.search.local_search`) and the sharded explore
-      runner for duplicate-point dedupe.
+      keyed on :func:`~repro.synth.netlist.structural_signature`.
     """
 
     def __init__(
         self,
         template_entries: int = DEFAULT_TEMPLATE_ENTRIES,
         schedule_entries: int = DEFAULT_SCHEDULE_ENTRIES,
-        point_entries: int = DEFAULT_POINT_ENTRIES,
     ) -> None:
         self.template = LRUCache("template", template_entries)
         self.schedule = LRUCache("schedule", schedule_entries)
-        self.points = LRUCache("points", point_entries)
 
     def wrap_templates(self, models: TemplateModels) -> CachedTemplateModels:
         """A memoizing predict view over ``models`` backed by this bundle."""
@@ -274,11 +252,10 @@ class EstimationCaches:
         """Empty every cache (statistics are kept)."""
         self.template.clear()
         self.schedule.clear()
-        self.points.clear()
 
     def caches(self) -> List[LRUCache]:
         """The individual caches, in display order."""
-        return [self.template, self.schedule, self.points]
+        return [self.template, self.schedule]
 
     def stats(self) -> Dict[str, Dict[str, object]]:
         """Per-cache statistics snapshot (see :meth:`LRUCache.stats`)."""

@@ -77,10 +77,10 @@ class Estimator:
 
     With ``cache=True`` (the default) the estimator owns an
     :class:`~repro.estimation.cache.EstimationCaches` bundle that
-    memoizes template predictions, Pipe schedules, and whole design
-    points across estimates. Cached results are bit-identical to the
-    cold path; pass ``cache=False`` (the ``--no-cache`` CLI flag) to
-    estimate from scratch every time. Cache statistics reach the
+    memoizes template predictions and Pipe schedules across estimates.
+    Cached results are bit-identical to the cold path; pass
+    ``cache=False`` (the ``--no-cache`` CLI flag) to turn memoization
+    off. Cache statistics reach the
     ``estimation.cache.*`` obs counters at the end of every estimating
     method call, not per lookup.
     """
@@ -211,8 +211,8 @@ def default_estimator(
     latency — and so per-worker warm-up shows up in parallel-DSE benches.
 
     ``cache=False`` (the CLI ``--no-cache`` flag) returns an estimator
-    sharing the same trained models but with estimation caching disabled
-    — no recharacterization, just the cold per-point hot path.
+    sharing the same trained models but with memoization off — no
+    recharacterization.
     """
     misses_before = _build_default_estimator.cache_info().misses
     estimator = _build_default_estimator(board, seed)

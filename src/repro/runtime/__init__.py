@@ -37,7 +37,7 @@ from .merge import (
     outcomes_from_states,
 )
 from .pool import (
-    DEFAULT_BATCH_SIZE,
+    BATCH_SIZE,
     RunOutcome,
     ShardOutcome,
     fork_available,
@@ -54,9 +54,9 @@ from .sharding import (
 )
 
 __all__ = [
+    "BATCH_SIZE",
     "CheckpointError",
     "CheckpointStore",
-    "DEFAULT_BATCH_SIZE",
     "Conservation",
     "ConservationError",
     "PointRecord",

@@ -20,6 +20,11 @@ frees up first, so a plan with more shards than workers load-balances
 with no scheduler of its own. Per-worker busy fractions land in
 ``dse.worker.*.utilization`` gauges.
 
+Every shard, on either path, is estimated by one loop
+(:func:`run_shard`): bind each point onto its class skeleton, analyse
+it, and correct the analyses in blocks of :data:`BATCH_SIZE` with one
+vectorized NN pass — whether or not the estimator carries caches.
+
 Platforms without ``fork`` (Windows, macOS spawn default) fall back to
 the serial path rather than re-training one estimator per worker; the
 engine reports the effective worker count so callers can see that.
@@ -41,14 +46,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
 from .. import obs
-from ..estimation.cache import MISS, point_key
 from ..ir.node import IRError
 from ..ir.skeleton import Skeletons, instantiate
 from .checkpoint import CheckpointStore, PointRecord, ShardState
 from .sharding import Shard, ShardPlan
 
-# Analyses corrected per finish_many() call on the cached/batched path.
-DEFAULT_BATCH_SIZE = 32
+# Analyses corrected per finish_many() call (one vectorized NN pass).
+BATCH_SIZE = 32
 
 
 @dataclass
@@ -96,7 +100,6 @@ def run_shard(
     writer=None,
     skip: Optional[Set[int]] = None,
     on_point: Optional[Callable[[PointRecord], None]] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> ShardOutcome:
     """Estimate every point of ``shard`` not in ``skip``.
 
@@ -106,15 +109,17 @@ def run_shard(
 
     Each point's design is instantiated on a skeleton of its structural
     class (:mod:`repro.ir.skeleton`): the first point of a class builds
-    it, later points re-bind its integer parameters in place.
-
-    When the estimator carries an
-    :class:`~repro.estimation.cache.EstimationCaches` bundle, points are
-    deduplicated against its design-point cache and fresh designs are
-    analysed one by one and corrected in blocks of ``batch_size`` through
-    :meth:`~repro.estimation.estimator.Estimator.finish_many` (one
-    vectorized NN pass per block). Estimates are bit-identical to a fresh
-    ``benchmark.build`` and the per-point path either way.
+    it, later points re-bind its integer parameters in place. Each design
+    is therefore analysed
+    (:meth:`~repro.estimation.estimator.Estimator.analyze`) as soon as it
+    is bound, and the analyses are corrected in blocks of
+    :data:`BATCH_SIZE` through
+    :meth:`~repro.estimation.estimator.Estimator.finish_many`, one
+    vectorized NN pass per block. This is the only loop, with or without
+    estimation caches; estimates are bit-identical to
+    :meth:`~repro.estimation.estimator.Estimator.estimate` on a fresh
+    ``benchmark.build``. A point's latency is its instantiate + analyse
+    time plus an even share of its block's correction time.
     """
     skip = skip or set()
     outcome = ShardOutcome(shard=shard.index, planned=len(shard))
@@ -131,70 +136,17 @@ def run_shard(
     # Skeletons live for this call only: every shard pays its own builds.
     skeletons: Skeletons = {}
     build = functools.partial(benchmark.build, dataset)
-
-    def instantiate_point(params):
-        """The point's design under a ``build`` span and ``pass.build_s``
-        histogram, so traces cover all of ``dse.point_latency_s``."""
-        with obs.timed("build", "pass.build_s"):
-            return instantiate(skeletons, build, params)
-
-    caches = getattr(estimator, "caches", None)
-    if caches is not None and batch_size > 1:
-        _run_points_batched(
-            benchmark, estimator, dataset, shard, skip, emit,
-            caches, batch_size, instantiate_point,
-        )
-    else:
-        for offset, params in enumerate(shard.points):
-            index = shard.start + offset
-            if index in skip:
-                continue
-            t0 = time.perf_counter()
-            try:
-                design = instantiate_point(params)
-            except IRError:
-                record = PointRecord(index, dict(params), None,
-                                     time.perf_counter() - t0)
-            else:
-                estimate = estimator.estimate(design)
-                record = PointRecord(index, dict(params), estimate,
-                                     time.perf_counter() - t0)
-            emit(record)
-    if caches is not None:
-        caches.points.publish()  # lookups since the shard's last estimate
-    outcome.records.sort(key=lambda r: r.index)
-    if writer is not None:
-        writer.done(shard)
-    outcome.elapsed_s = time.perf_counter() - start
-    return outcome
-
-
-def _run_points_batched(
-    benchmark, estimator, dataset, shard, skip, emit, caches, batch_size,
-    instantiate_point,
-) -> None:
-    """Cached shard path: dedupe via the points cache, correct in blocks.
-
-    Cache hits (including cached-illegal points, stored as ``None``) emit
-    immediately. Each fresh legal design is analysed as soon as it is
-    instantiated -- the next point of its class re-binds the same
-    skeleton -- and the analyses are buffered and flushed through
-    ``finish_many``, one vectorized NN pass per block. Per-point latency
-    for batched points is the instantiate + analyse time plus an even
-    share of the block's correction time.
-    """
-    pending: List[tuple] = []  # (index, params, key, analysis, latency_s)
+    pending: List[tuple] = []  # (index, params, analysis, latency_s)
 
     def flush() -> None:
         if not pending:
             return
         t0 = time.perf_counter()
-        estimates = estimator.finish_many([p[3] for p in pending])
+        estimates = estimator.finish_many([p[2] for p in pending])
         share = (time.perf_counter() - t0) / len(pending)
-        for (index, params, key, _, latency_s), estimate in zip(
+        for (index, params, _, latency_s), estimate in zip(
             pending, estimates
         ):
-            caches.points.put(key, estimate)
             emit(PointRecord(index, dict(params), estimate, latency_s + share))
         pending.clear()
 
@@ -203,25 +155,25 @@ def _run_points_batched(
         if index in skip:
             continue
         t0 = time.perf_counter()
-        key = point_key(benchmark.name, dataset, params)
-        cached = caches.points.get(key)
-        if cached is not MISS:
-            emit(PointRecord(index, dict(params), cached,
-                             time.perf_counter() - t0))
-            continue
         try:
-            design = instantiate_point(params)
+            # A build span and pass.build_s observation per point, so
+            # traces cover all of dse.point_latency_s.
+            with obs.timed("build", "pass.build_s"):
+                design = instantiate(skeletons, build, params)
         except IRError:
-            caches.points.put(key, None)
             emit(PointRecord(index, dict(params), None,
                              time.perf_counter() - t0))
             continue
-        analysis = estimator.analyze(design)
-        pending.append((index, params, key, analysis,
+        pending.append((index, params, estimator.analyze(design),
                         time.perf_counter() - t0))
-        if len(pending) >= batch_size:
+        if len(pending) >= BATCH_SIZE:
             flush()
     flush()
+    outcome.records.sort(key=lambda r: r.index)
+    if writer is not None:
+        writer.done(shard)
+    outcome.elapsed_s = time.perf_counter() - start
+    return outcome
 
 
 # -- forked-worker plumbing -------------------------------------------------
@@ -254,7 +206,7 @@ def _worker_run_shard(index: int) -> ShardOutcome:
     outcome = _run_shard_checkpointed(
         state["benchmark"], state["estimator"], state["dataset"],
         state["shards"][index],  # type: ignore[index]
-        state["store"], skip.get(index, set()), state["batch_size"],
+        state["store"], skip.get(index, set()),
     )
     outcome.worker = os.getpid()
     return outcome
@@ -339,14 +291,12 @@ def run_plan(
     store: Optional[CheckpointStore] = None,
     resume: bool = False,
     progress_every: int = 1000,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> RunOutcome:
     """Execute ``plan``: estimate every non-restored point, in order.
 
     Returns one :class:`ShardOutcome` per shard (in shard order) whose
     records include both fresh and checkpoint-restored points, sorted by
-    global index — the merge layer's input. ``batch_size`` controls the
-    cached/batched estimation block size (see :func:`run_shard`).
+    global index — the merge layer's input.
     """
     if not isinstance(workers, int) or isinstance(workers, bool):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
@@ -387,15 +337,14 @@ def run_plan(
         for shard in pending:  # in-process, with live per-point obs
             outcome = _run_shard_checkpointed(
                 benchmark, estimator, dataset, shard, store,
-                skip.get(shard.index, set()), batch_size,
-                on_point=heartbeat.point,
+                skip.get(shard.index, set()), on_point=heartbeat.point,
             )
             heartbeat.shard(outcome)
             outcomes[shard.index] = outcome
     elif pending:
         _run_shards_forked(
             benchmark, estimator, dataset, pending, store, skip,
-            effective_workers, heartbeat, outcomes, batch_size,
+            effective_workers, heartbeat, outcomes,
         )
 
     # Fold restored records back in and finish per-shard bookkeeping.
@@ -414,8 +363,7 @@ def run_plan(
 
 
 def _run_shard_checkpointed(
-    benchmark, estimator, dataset, shard, store, skip, batch_size,
-    on_point=None,
+    benchmark, estimator, dataset, shard, store, skip, on_point=None,
 ) -> ShardOutcome:
     """:func:`run_shard` writing through ``store``'s shard file, if any."""
     writer = store.writer(shard, append=bool(skip)) if store else None
@@ -423,7 +371,6 @@ def _run_shard_checkpointed(
         return run_shard(
             benchmark, estimator, dataset, shard,
             writer=writer, skip=skip, on_point=on_point,
-            batch_size=batch_size,
         )
     finally:
         if writer is not None:
@@ -432,7 +379,7 @@ def _run_shard_checkpointed(
 
 def _run_shards_forked(
     benchmark, estimator, dataset, pending, store, skip,
-    workers, heartbeat, outcomes, batch_size=DEFAULT_BATCH_SIZE,
+    workers, heartbeat, outcomes,
 ) -> None:
     """Parallel path: fork workers after training, replay obs in parent.
 
@@ -450,7 +397,6 @@ def _run_shards_forked(
         "shards": {shard.index: shard for shard in pending},
         "store": store,
         "skip": skip,
-        "batch_size": batch_size,
     }
     busy_s: Dict[int, float] = {}
     start = time.perf_counter()

@@ -42,29 +42,20 @@ class TestLocalSearch:
         assert a.best.params == b.best.params
         assert a.evaluations == b.evaluations
 
-    def test_shares_point_cache_with_explore(self, estimator):
-        """Search dedupes through the estimator's shared design-point
-        cache: points it already priced never build or estimate again,
-        and entries are interchangeable with the sweep runner's."""
+    def test_repeat_search_matches_itself_and_the_sweep(self, estimator):
+        """A repeated search re-estimates bit for bit, and any point it
+        shares with an explore sweep has the sweep's exact estimate."""
         import pickle
 
-        estimator.caches.clear()
         bench = get_benchmark("tpchq6")
         swept = explore(bench, estimator, max_points=150, seed=9)
         first = local_search(bench, estimator, budget=100, seed=9)
-        misses_after = estimator.caches.points.misses
-        hits_after = estimator.caches.points.hits
         second = local_search(bench, estimator, budget=100, seed=9)
-        # The repeat search re-visits identical points: zero new builds,
-        # one shared-cache hit per evaluation.
-        assert estimator.caches.points.misses == misses_after
-        assert (estimator.caches.points.hits
-                == hits_after + second.evaluations)
+        assert first.evaluations == second.evaluations
+        assert first.trajectory == second.trajectory
         assert pickle.dumps(first.best.estimate) == pickle.dumps(
             second.best.estimate
         )
-        # Entries are keyed identically to explore's, so any overlap
-        # with the sweep reuses the sweep's exact estimate.
         by_params = {
             tuple(sorted(p.params.items())): p.estimate for p in swept.points
         }
@@ -88,6 +79,42 @@ class TestLocalSearch:
         assert a.evaluations == b.evaluations
         assert a.trajectory == b.trajectory
         assert a.best.params == b.best.params
+
+    # Whole walks, cached and uncached: a change to how the search dedupes
+    # or prices its points must not move them.
+    PINNED = {
+        ("tpchq6", 4): (
+            {"tile": 7488, "par": 32, "par_mem": 16, "metapipe": True},
+            40,
+            [24100271.0] * 2 + [24100161.0] + [23497664.0] * 2
+            + [23497611.0] * 2 + [23497588.0, 9457588.0]
+            + [5975668.0] * 10 + [5294409.0] * 2 + [5293480.0]
+            + [5293019.0] * 2 + [5292792.0] * 3 + [1810872.0] * 13,
+        ),
+        ("gda", 5): (
+            {"tile_rows": 360, "par_sub": 16, "par_outer": 48,
+             "par_row": 4, "par_mem": 16, "m1": True, "m2": True},
+            40,
+            [34845403.0] + [34844323.0] * 2 + [34843783.0]
+            + [34842005.0] * 4 + [34833365.0] * 3 + [18576701.0] * 8
+            + [18568475.0] * 21,
+        ),
+    }
+
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("name, seed", sorted(PINNED))
+    def test_pinned_walks(self, estimator, name, seed, cache):
+        from repro.estimation import Estimator
+
+        est = Estimator(
+            estimator.board, templates=estimator.templates,
+            corrections=estimator.corrections, cache=cache,
+        )
+        result = local_search(get_benchmark(name), est, budget=40, seed=seed)
+        params, evaluations, trajectory = self.PINNED[(name, seed)]
+        assert result.best.params == params
+        assert result.evaluations == evaluations
+        assert result.trajectory == trajectory
 
     def test_neighbors_stay_legal(self, estimator):
         import random

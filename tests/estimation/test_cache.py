@@ -14,7 +14,6 @@ from repro.estimation import (
     EstimationCaches,
     Estimator,
     LRUCache,
-    point_key,
 )
 from repro.estimation.cache import MISS
 from repro.target import MAIA
@@ -169,19 +168,13 @@ class TestEstimationCaches:
         assert caches.schedule.misses == misses_after_first
         assert caches.schedule.hits > 0
 
-    def test_point_key_canonicalizes_ordering(self):
-        a = point_key("b", {"n": 1, "m": 2}, {"x": 3, "y": 4})
-        b = point_key("b", {"m": 2, "n": 1}, {"y": 4, "x": 3})
-        assert a == b
-        assert point_key("other", {"n": 1, "m": 2}, {"x": 3, "y": 4}) != a
-
     def test_summary_lines_and_stats(self):
         caches = EstimationCaches(template_entries=2)
         caches.template.put("k", (0.0,) * 5)
         lines = caches.summary_lines()
-        assert len(lines) == 4  # header + template/schedule/points
+        assert len(lines) == 3  # header + template/schedule
         assert "template" in lines[1]
-        assert set(caches.stats()) == {"template", "schedule", "points"}
+        assert set(caches.stats()) == {"template", "schedule"}
 
     def test_pickle_roundtrip(self, estimator):
         """Caches are plain data: pickleable for diagnostics/fork safety."""
@@ -293,9 +286,9 @@ class TestObsPublication:
         from repro.dse import explore
 
         obs.enable(metrics=True)
-        for name in ("gda", "dotproduct", "gda"):  # gda twice: points hit
+        for name in ("gda", "dotproduct", "gda"):
             explore(get_benchmark(name), fresh, max_points=40, seed=3)
-        assert fresh.caches.points.hits > 0
+        assert fresh.caches.template.hits > 0
         self._assert_counters_equal_stats(fresh.caches)
 
     def test_local_search_counters_equal_cache_stats(self, fresh):
@@ -304,5 +297,5 @@ class TestObsPublication:
         obs.enable(metrics=True)
         local_search(get_benchmark("tpchq6"), fresh, budget=30, seed=2)
         local_search(get_benchmark("tpchq6"), fresh, budget=30, seed=2)
-        assert fresh.caches.points.hits > 0
+        assert fresh.caches.template.hits > 0
         self._assert_counters_equal_stats(fresh.caches)

@@ -18,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.dse.search
-import repro.runtime.pool
 from repro.apps import all_benchmarks, get_benchmark
 from repro.apps.extras import all_extras
 from repro.dse import explore, local_search
@@ -247,15 +246,31 @@ def _summary(result):
     return (
         result.legal_sampled,
         [(p.params, estimate_to_doc(p.estimate)) for p in result.points],
-        [p.params for p in result.pareto],
     )
 
 
-@pytest.mark.parametrize("name", ["gda", "gemm"])
+def _per_point_reference(bench, cold, max_points, seed):
+    """``_summary`` of a sweep, computed without the runtime: every
+    sampled point built fresh and estimated on its own, memoization off."""
+    dataset = bench.default_dataset()
+    sampled = bench.param_space(dataset).sample(
+        random.Random(seed), max_points
+    )
+    points = []
+    for params in sampled:
+        try:
+            design = bench.build(dataset, **params)
+        except IRError:
+            continue
+        points.append((params, estimate_to_doc(cold.estimate(design))))
+    return len(sampled), points
+
+
+@pytest.mark.parametrize("name", sorted(APPS))
 def test_every_runtime_path_matches_the_rebuild_path(
-    estimator, monkeypatch, tmp_path, name
+    estimator, tmp_path, name
 ):
-    bench = get_benchmark(name)
+    bench = APPS[name]
     kwargs = dict(max_points=60, seed=11)
 
     def fresh(cache=True):
@@ -264,14 +279,9 @@ def test_every_runtime_path_matches_the_rebuild_path(
             corrections=estimator.corrections, cache=cache,
         )
 
-    with monkeypatch.context() as m:
-        m.setattr(repro.runtime.pool, "instantiate", _rebuild)
-        reference = _summary(explore(bench, fresh(), **kwargs))
+    reference = _per_point_reference(bench, fresh(cache=False), **kwargs)
 
     assert _summary(explore(bench, fresh(), **kwargs)) == reference
-    assert _summary(
-        explore(bench, fresh(), batch_size=1, **kwargs)
-    ) == reference
     assert _summary(explore(bench, fresh(cache=False), **kwargs)) == reference
     assert _summary(
         explore(bench, fresh(), workers=2, shards=3, **kwargs)

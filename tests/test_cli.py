@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,6 +19,16 @@ from repro.cli import _parse_overrides, main
 
 # A flag the CLI no longer has; it must stay an exit-2 usage error.
 REMOVED_FLAG = "--auto-shards"
+
+SRC_DIR = Path(__file__).parent.parent / "src"
+# Subprocesses must find `repro` even when pytest resolved it via the
+# `pythonpath = ["src"]` ini option (which env vars don't carry).
+ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p
+    ),
+)
 
 
 def run_cli(estimator, *argv):
@@ -175,10 +188,11 @@ class TestObservabilityFlags:
         assert (est["ts"] + est["dur"]
                 <= explore_span["ts"] + explore_span["dur"] + 1e-6)
 
-    def test_explore_no_cache_traces_per_point_estimates(
+    def test_explore_no_cache_traces_batched_estimates(
         self, estimator, tmp_path
     ):
-        """--no-cache keeps the per-point hot path and its trace shape."""
+        """--no-cache runs the one sweep loop: each design's cycles and
+        area.raw under explore, corrected in estimate.batch blocks."""
         from repro.estimation import Estimator
 
         cold = Estimator(
@@ -193,8 +207,8 @@ class TestObservabilityFlags:
         assert code == 0
         doc = json.loads(trace.read_text())
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert {"explore", "estimate", "cycles", "area"} <= names
-        assert "estimate.batch" not in names
+        assert {"explore", "estimate.batch", "cycles", "area.raw"} <= names
+        assert "estimate" not in names
 
     def test_explore_metrics_prints_counters_and_histogram(
         self, estimator
@@ -270,6 +284,9 @@ class TestBadInputs:
             (["report", "--points", "0"], "expected a positive integer"),
             (["explore", "tpchq6", REMOVED_FLAG],
              f"unrecognized arguments: {REMOVED_FLAG}"),
+            # merge-checkpoints estimates nothing, so it has no --no-cache.
+            (["merge-checkpoints", "ckpt", "--no-cache"],
+             "unrecognized arguments: --no-cache"),
         ],
     )
     def test_one_line_usage_error(self, estimator, capsys, argv, message):
@@ -287,6 +304,25 @@ class TestBadInputs:
         assert code == 0
         rows = text.splitlines()[2:]
         assert len(rows) == 1 and "{" in rows[0]
+
+
+def test_closed_stdout_exits_quietly():
+    """`repro explore ... | head -1`: the reader closes the pipe after the
+    first line, and the CLI exits 1 without a BrokenPipeError traceback.
+    The CSV goes to stdout and is far larger than a pipe's buffer, so
+    writes are still pending when the pipe closes."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "explore", "gda", "--points",
+         "3000", "--csv", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    code = proc.wait(timeout=300)
+    assert first.startswith(b"explored 3000 points"), first
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert code == 1
 
 
 class TestParallelExploreFlags:
