@@ -11,12 +11,14 @@ The package implements the paper's full flow (Figure 1):
 3. Design space exploration (:mod:`repro.dse`) samples the pruned space of
    tile sizes, parallelization factors, and MetaPipe toggles and extracts
    Pareto-optimal designs.
-4. Code generation (:mod:`repro.codegen`) emits MaxJ for chosen designs.
+4. Code generation (:mod:`repro.codegen`) emits MaxJ for chosen designs,
+   the paper's only backend. :mod:`repro.hls` models Vivado HLS from the
+   IR for Table IV; no HLS-C text is generated.
 
 Ground truth comes from two simulation substrates standing in for the
 paper's proprietary toolchain and board: a synthesis/place-and-route
 simulator (:mod:`repro.synth`) and a cycle-level runtime simulator
-(:mod:`repro.sim`). The seven Table II benchmarks live in
+(:mod:`repro.sim`). The seven Table II benchmarks, and no others, live in
 :mod:`repro.apps`; CPU baselines in :mod:`repro.cpu`. See DESIGN.md for the
 substitution rationale and EXPERIMENTS.md for paper-vs-measured results.
 """

@@ -41,6 +41,7 @@ from .codegen import generate_maxj
 from .dse import explore, merge_checkpoints
 from .estimation import Estimator, default_estimator
 from .estimation.power import estimate_power
+from .ir.node import IRError
 from .runtime import CheckpointError, ConservationError, ShardRangeError
 from .sim import simulate
 
@@ -60,6 +61,21 @@ def _benchmark_name(name: str) -> str:
             f"unknown benchmark {name!r} (choose from: {', '.join(names)})"
         )
     return name
+
+
+def _output_path(text: str) -> str:
+    """argparse type for an output file: a path in an existing directory.
+
+    Checked at parse time, so a bad path fails before any work runs.
+    """
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(
+            f"directory {parent!r} of {text!r} does not exist"
+        )
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -140,6 +156,25 @@ def _resolve_params(bench, overrides: Dict[str, object]) -> Dict[str, object]:
     return params
 
 
+def _design_point(args):
+    """The benchmark, dataset, parameters and design named by ``args``.
+
+    Applies ``--set`` over the benchmark's default point. A value that
+    ``bench.build`` rejects ends the command with its one-line
+    :class:`IRError` message.
+    """
+    bench = get_benchmark(args.benchmark)
+    params = _resolve_params(bench, _parse_overrides(args.set or []))
+    dataset = bench.default_dataset()
+    try:
+        design = bench.build(dataset, **params)
+    except IRError as exc:
+        raise SystemExit(
+            f"illegal design point for {bench.name}: {exc}"
+        ) from None
+    return bench, dataset, params, design
+
+
 def cmd_list(args, out) -> int:
     """``repro list``: print the Table II benchmark inventory."""
     print(f"{'name':14s} {'description':45s} dataset", file=out)
@@ -151,9 +186,7 @@ def cmd_list(args, out) -> int:
 
 def cmd_estimate(args, out, estimator: Optional[Estimator] = None) -> int:
     """``repro estimate``: estimate one design point."""
-    bench = get_benchmark(args.benchmark)
-    params = _resolve_params(bench, _parse_overrides(args.set or []))
-    design = bench.build(bench.default_dataset(), **params)
+    _, _, params, design = _design_point(args)
     estimator = _estimator_for(args, estimator)
     est = estimator.estimate(design)
     util = est.utilization()
@@ -327,9 +360,7 @@ def cmd_speedup(args, out, estimator: Optional[Estimator] = None) -> int:
 
 def cmd_codegen(args, out) -> int:
     """``repro codegen``: emit MaxJ for one design point."""
-    bench = get_benchmark(args.benchmark)
-    params = _resolve_params(bench, _parse_overrides(args.set or []))
-    design = bench.build(bench.default_dataset(), **params)
+    _, _, _, design = _design_point(args)
     source = generate_maxj(design)
     if args.output:
         with open(args.output, "w") as fh:
@@ -343,9 +374,7 @@ def cmd_codegen(args, out) -> int:
 
 def cmd_power(args, out, estimator: Optional[Estimator] = None) -> int:
     """``repro power``: power/energy estimate (extension)."""
-    bench = get_benchmark(args.benchmark)
-    params = _resolve_params(bench, _parse_overrides(args.set or []))
-    design = bench.build(bench.default_dataset(), **params)
+    _, _, params, design = _design_point(args)
     estimator = _estimator_for(args, estimator)
     area = estimator.estimate_area(design)
     cycles = estimator.estimate_cycles(design)
@@ -365,10 +394,7 @@ def cmd_analyze(args, out, estimator: Optional[Estimator] = None) -> int:
     from .analysis import analyze, diagnose
     from .sim import simulate as _simulate
 
-    bench = get_benchmark(args.benchmark)
-    params = _resolve_params(bench, _parse_overrides(args.set or []))
-    dataset = bench.default_dataset()
-    design = bench.build(dataset, **params)
+    bench, dataset, _, design = _design_point(args)
     estimator = _estimator_for(args, estimator)
     diag = diagnose(design, estimator)
     print(diag.summary(), file=out)
@@ -420,12 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     # Observability flags shared by the instrumented pipeline commands.
     obs_flags = argparse.ArgumentParser(add_help=False)
     obs_flags.add_argument(
-        "--trace", metavar="FILE.json",
+        "--trace", type=_output_path, metavar="FILE.json",
         help="write a Chrome trace-event file of the run "
         "(open in chrome://tracing or https://ui.perfetto.dev)",
     )
     obs_flags.add_argument(
-        "--trace-jsonl", metavar="FILE.jsonl",
+        "--trace-jsonl", type=_output_path, metavar="FILE.jsonl",
         help="stream spans incrementally to a JSONL file (bounded "
         "memory; suits paper-scale sweeps)",
     )
@@ -467,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--show", type=int, default=8,
                    help="Pareto points to print")
-    p.add_argument("--csv", help="dump all points to a CSV file")
+    p.add_argument("--csv", type=_output_path,
+                   help="dump all points to a CSV file")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (forked after estimator "
                    "training; 1 = serial in-process)")
@@ -501,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_bench(p)
     p.add_argument("--points", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--sim-trace", metavar="FILE.json",
+    p.add_argument("--sim-trace", type=_output_path, metavar="FILE.json",
                    help="write a simulated-time Chrome trace of the best "
                    "design's controller schedule (1 cycle = 1 us tick; "
                    "open in https://ui.perfetto.dev)")
@@ -510,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[obs_flags])
     add_bench(p)
     p.add_argument("--set", nargs="*", metavar="K=V")
-    p.add_argument("-o", "--output", help="output file (default: stdout)")
+    p.add_argument("-o", "--output", type=_output_path,
+                   help="output file (default: stdout)")
 
     p = sub.add_parser("power", help="power/energy estimate (extension)",
                        parents=[cache_flags])
@@ -530,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="DSE budget per benchmark")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for the report's DSE sweeps")
-    p.add_argument("-o", "--output", help="output file (default: stdout)")
+    p.add_argument("-o", "--output", type=_output_path,
+                   help="output file (default: stdout)")
     return parser
 
 

@@ -1,6 +1,5 @@
-"""Hardware generation backends (paper Figure 1, step 5; Figure 2 form)."""
+"""Hardware generation backend: MaxJ (paper Figure 1, step 5)."""
 
-from .hlsc import HLSCGenerator, generate_hlsc
 from .maxj import MaxJGenerator, generate_maxj
 
-__all__ = ["HLSCGenerator", "MaxJGenerator", "generate_hlsc", "generate_maxj"]
+__all__ = ["MaxJGenerator", "generate_maxj"]

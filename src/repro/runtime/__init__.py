@@ -1,4 +1,4 @@
-"""Sharded parallel DSE engine (checkpoint/resume, Pareto merging).
+"""Sharded parallel DSE engine (checkpoint/resume, checked merging).
 
 The paper's headline workflow sweeps up to 75,000 legal design points
 per benchmark; after estimator training every point is independent, so
@@ -13,7 +13,7 @@ job engine:
 * :mod:`~repro.runtime.checkpoint` — per-shard JSONL checkpoints and
   kill/resume;
 * :mod:`~repro.runtime.merge` — global reassembly with conservation
-  checks plus streaming Pareto-front merging.
+  checks.
 
 See ``docs/runtime.md`` for the architecture and the determinism and
 resume guarantees.
@@ -33,7 +33,6 @@ from .merge import (
     Conservation,
     ConservationError,
     merge_outcomes,
-    merge_pareto_fronts,
     outcomes_from_states,
 )
 from .pool import (
@@ -50,7 +49,6 @@ from .sharding import (
     ShardRangeError,
     plan_shards,
     resolve_shard_count,
-    shard_seed,
 )
 
 __all__ = [
@@ -71,12 +69,10 @@ __all__ = [
     "fork_available",
     "load_summary",
     "merge_outcomes",
-    "merge_pareto_fronts",
     "outcomes_from_states",
     "plan_shards",
     "read_manifest",
     "resolve_shard_count",
     "run_plan",
     "run_shard",
-    "shard_seed",
 ]

@@ -4,7 +4,7 @@ A checkpointed explore writes one ``shard-NNNN.jsonl`` file per shard
 plus a ``manifest.json`` describing the run (benchmark, dataset, seed,
 budget, shard count). Shard files are append-only: each estimated point
 becomes one JSON line carrying its global index, parameters, and the
-full estimate, flushed every ``flush_every`` points so a killed sweep
+full estimate, flushed every ``FLUSH_EVERY`` points so a killed sweep
 loses at most that many estimates. A terminal ``done`` line marks the
 shard complete.
 
@@ -44,8 +44,8 @@ from .sharding import Shard, ShardPlan
 
 MANIFEST_NAME = "manifest.json"
 
-#: Flush shard files after this many newly written records by default.
-DEFAULT_FLUSH_EVERY = 100
+#: Flush shard files after this many newly written records.
+FLUSH_EVERY = 100
 
 
 class CheckpointError(RuntimeError):
@@ -121,22 +121,16 @@ def estimate_from_doc(doc: Dict[str, object], board: Board) -> Estimate:
 class ShardWriter:
     """Append-only JSONL writer for one shard's checkpoint file."""
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        append: bool = False,
-        flush_every: int = DEFAULT_FLUSH_EVERY,
-    ) -> None:
+    def __init__(self, path: Union[str, Path], append: bool = False) -> None:
         self.path = Path(path)
         self._fh: Optional[IO[str]] = open(
             self.path, "a" if append else "w"
         )
-        self._flush_every = max(int(flush_every), 1)
         self._pending = 0
         self.written = 0
 
     def write(self, record: PointRecord) -> None:
-        """Append one point record (flushed every ``flush_every`` writes)."""
+        """Append one point record (flushed every ``FLUSH_EVERY`` writes)."""
         assert self._fh is not None, "writer already closed"
         doc = {
             "t": "p",
@@ -149,7 +143,7 @@ class ShardWriter:
         self._fh.write(json.dumps(doc) + "\n")
         self.written += 1
         self._pending += 1
-        if self._pending >= self._flush_every:
+        if self._pending >= FLUSH_EVERY:
             self.flush()
 
     def done(self, shard: Shard) -> None:
@@ -193,13 +187,8 @@ class ShardState:
 class CheckpointStore:
     """One run's checkpoint directory: manifest plus per-shard files."""
 
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        flush_every: int = DEFAULT_FLUSH_EVERY,
-    ) -> None:
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        self.flush_every = flush_every
 
     def shard_path(self, index: int) -> Path:
         """Path of shard ``index``'s JSONL file."""
@@ -407,11 +396,7 @@ class CheckpointStore:
 
     def writer(self, shard: Shard, append: bool = False) -> ShardWriter:
         """Open the shard's JSONL file for (appending) writes."""
-        return ShardWriter(
-            self.shard_path(shard.index),
-            append=append,
-            flush_every=self.flush_every,
-        )
+        return ShardWriter(self.shard_path(shard.index), append=append)
 
 
 def read_manifest(directory: Union[str, Path]) -> Dict[str, object]:

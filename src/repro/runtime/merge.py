@@ -1,32 +1,22 @@
-"""Merging shard results into a global point list and Pareto front.
+"""Merging shard results into the global point list.
 
-Two jobs:
-
-* :func:`merge_outcomes` — reassemble per-shard records into the exact
-  global sample order (the serial explorer's order) while proving
-  conservation: every planned global index present exactly once, fresh
-  plus restored counts summing to the plan, nothing dropped or
-  duplicated. Violations raise :class:`ConservationError` — a wrong
-  parallel merge must never masquerade as a smaller design space.
-
-* :func:`merge_pareto_fronts` — streaming merge of per-shard Pareto
-  fronts. Because dominance over a union is implied by dominance over
-  its parts, the global front of a sharded run equals the front of the
-  concatenated per-shard fronts; feeding fronts in shard order keeps the
-  equal-objective representative (lowest global index) identical to the
-  serial sweep's.
+:func:`merge_outcomes` reassembles per-shard records into the exact
+global sample order (the serial explorer's order) while proving
+conservation: every planned global index present exactly once, fresh
+plus restored counts summing to the plan, nothing dropped or duplicated.
+Violations raise :class:`ConservationError` — a wrong parallel merge must
+never masquerade as a smaller design space. The explorer computes the
+Pareto front over the merged points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
+from typing import Dict, List, Sequence, Tuple
 
 from .checkpoint import PointRecord, ShardState
 from .pool import ShardOutcome
 from .sharding import ShardPlan
-
-T = TypeVar("T")
 
 
 def outcomes_from_states(
@@ -145,19 +135,3 @@ def merge_outcomes(
     records = [seen[index] for index in sorted(seen)]
     return records, stats
 
-
-def merge_pareto_fronts(
-    fronts: Sequence[Sequence[T]], key: Callable[[T], Tuple[float, float]]
-) -> List[T]:
-    """Merge per-shard Pareto fronts into the global front.
-
-    Equivalent to (and tested against) recomputing the front over the
-    union of all shard points, but only touches the per-shard survivors
-    — the streaming path for checkpoint post-processing at paper scale.
-    """
-    from ..dse.pareto import pareto_front  # local: avoids an import cycle
-
-    combined: List[T] = []
-    for front in fronts:
-        combined.extend(front)
-    return pareto_front(combined, key=key)

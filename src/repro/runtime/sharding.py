@@ -9,12 +9,6 @@ the shards is byte-identical to the serial enumeration for every shard
 count — sampling is the cheap part of DSE (RNG draws plus legality
 checks); the expensive build/estimate work is what the shards distribute.
 
-Every shard also carries its own derived RNG stream
-(:func:`shard_seed`), decorrelated from the master seed and from sibling
-shards, for any stochastic work a shard-local policy may need (e.g. a
-guided-search extension). The point *enumeration* never consumes these
-streams, so using them cannot perturb reproducibility.
-
 ``shard_range=(lo, hi)`` assigns a plan only the shards with global
 index in ``[lo, hi)``. Because the *partition* is computed over the full
 sample regardless of the range, disjoint ranges on disjoint hosts tile
@@ -32,21 +26,6 @@ from ..params import ParamSpace
 
 Point = Dict[str, object]
 
-_MASK64 = (1 << 64) - 1
-
-
-def shard_seed(seed: int, index: int) -> int:
-    """Derive a decorrelated 64-bit RNG seed for shard ``index``.
-
-    A splitmix64-style finalizer over (seed, index), so adjacent shard
-    indices (and adjacent master seeds) produce unrelated streams.
-    """
-    x = (seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 31
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 29
-    return x
-
 
 @dataclass(frozen=True)
 class Shard:
@@ -60,7 +39,6 @@ class Shard:
     index: int
     start: int
     points: Sequence[Point]
-    seed: int
 
     @property
     def stop(self) -> int:
@@ -71,10 +49,6 @@ class Shard:
     def indices(self) -> range:
         """Global indices covered by this shard."""
         return range(self.start, self.stop)
-
-    def rng(self) -> random.Random:
-        """A fresh per-shard RNG stream (never used for enumeration)."""
-        return random.Random(self.seed)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -173,7 +147,6 @@ def plan_shards(
                 index=index,
                 start=start,
                 points=tuple(sampled[start:start + size]),
-                seed=shard_seed(seed, index),
             )
         )
         start += size

@@ -3,13 +3,9 @@
 from .dram import TransferTiming, interleave_efficiency, simulate_transfer
 from .executor import SimResult, simulate
 from .functional import FunctionalSim, quantize_fixed
-from .timeline import Interval, Timeline, build_timeline
 
 __all__ = [
     "FunctionalSim",
-    "Interval",
-    "Timeline",
-    "build_timeline",
     "quantize_fixed",
     "SimResult",
     "TransferTiming",

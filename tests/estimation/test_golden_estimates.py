@@ -1,7 +1,9 @@
 """Golden digests: estimates stay bit-identical across refactors.
 
-For every registered app, a fixed seeded sample of design points is built
-and estimated with a committed set of trained models
+For every registered app and the toy app (``tests/toy.py``, which
+reaches the priority queue, ``floor`` and ``minimum``), a fixed seeded
+sample of design points is built and estimated with a committed set of
+trained models
 (``tests/golden/estimator_models.json``, so training numerics play no
 part). The SHA-256 of the points' ``estimate_to_doc`` records must match
 ``tests/golden/estimate_digests.json`` on the cold, cached and batched
@@ -9,7 +11,7 @@ paths alike, and for designs instantiated on skeletons.
 
 Regenerate both fixtures only when an estimate is meant to change::
 
-    PYTHONPATH=src python tests/estimation/test_golden_estimates.py
+    PYTHONPATH=src python -m tests.estimation.test_golden_estimates
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from pathlib import Path
 import pytest
 
 from repro.apps import all_benchmarks
-from repro.apps.extras import all_extras
 from repro.estimation import Estimator
 from repro.estimation.store import load_estimator, save_estimator
 from repro.ir import IRError
 from repro.ir.skeleton import instantiate
 from repro.runtime.checkpoint import estimate_to_doc
 from repro.target import MAIA
+from tests.toy import Toy
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 MODELS = GOLDEN / "estimator_models.json"
@@ -37,7 +39,7 @@ DIGESTS = GOLDEN / "estimate_digests.json"
 POINTS_PER_APP = 8
 SAMPLE_SEED = 2024
 
-APPS = {b.name: b for b in all_benchmarks() + all_extras()}
+APPS = {b.name: b for b in all_benchmarks() + [Toy()]}
 
 
 def sample_designs(name, skeletons=None):

@@ -6,7 +6,8 @@ nodes are created; controllers carry ``body_replication`` and the cycles
 pass memoizes ``weighted_transfers``. These properties check every index
 against its definition — a filter of ``children``, a scan of
 ``design.nodes``, or the original recursive formula — over every
-registered app at sampled legal parameters.
+registered app and the toy app (``tests/toy.py``) at sampled legal
+parameters.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import all_benchmarks
-from repro.apps.extras import all_extras
 from repro.estimation.cycles import weighted_transfers
 from repro.ir import IRError
 from repro.ir.controllers import Controller, MetaPipe, Parallel, Pipe
 from repro.ir.graph import replication
 from repro.ir.memops import TileTransfer
 from repro.ir.memories import OnChipMemory
+from tests.toy import Toy
 
-APPS = {b.name: b for b in all_benchmarks() + all_extras()}
+APPS = {b.name: b for b in all_benchmarks() + [Toy()]}
 
 
 def _replication_by_ancestors(node) -> int:

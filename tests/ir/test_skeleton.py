@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 import repro.dse.search
 from repro.apps import all_benchmarks, get_benchmark
-from repro.apps.extras import all_extras
 from repro.dse import explore, local_search
 from repro.estimation import Estimator
 from repro.ir import Design, Float32, IRError
@@ -28,8 +27,10 @@ from repro.ir.node import Node, ParamInt
 from repro.ir.skeleton import Skeleton, instantiate
 from repro.params import BoolParam
 from repro.runtime.checkpoint import estimate_to_doc
+from tests.toy import Toy, toy_design
 
-APPS = {b.name: b for b in all_benchmarks() + all_extras()}
+PAPER_APPS = {b.name: b for b in all_benchmarks()}
+APPS = {**PAPER_APPS, "toy": Toy()}
 
 
 def _canon(value):
@@ -156,7 +157,9 @@ def test_rebind_a_b_a_leaves_no_stale_state(estimators, name):
     assert docs[1] == estimate_to_doc(cold.estimate(bench.build(dataset, **b)))
 
 
-@pytest.mark.parametrize("name", sorted(APPS))
+# The toy branches on ``tile`` on purpose; its keys are pinned by
+# ``test_every_slot_kind_rebinds_and_branches_join_the_key``.
+@pytest.mark.parametrize("name", sorted(PAPER_APPS))
 def test_class_key_is_the_boolean_parameters(name):
     bench = APPS[name]
     dataset = bench.default_dataset()
@@ -180,36 +183,6 @@ def test_class_key_is_the_boolean_parameters(name):
     assert sum(len(v) for v in skeletons.values()) <= classes
 
 
-def _toy(tile, par, outer, depth, wide):
-    """A builder using every kind of slot, and branching on ``tile``."""
-    with Design("toy") as design:
-        x = hw.offchip("x", Float32, 1024)
-        out = hw.offchip("out", Float32, 1024)
-        best = hw.offchip("best", Float32, 64)
-        with hw.sequential("top"):
-            queue = hw.pqueue("queue", Float32, depth)
-            with hw.loop(
-                "tiles", [(1024, tile)], metapipe_=wide, par=outer
-            ) as loop:
-                (i,) = loop.iters
-                buf = hw.bram("buf", Float32, tile)
-                hw.tile_load(x, buf, (i,), (tile,), par=par)
-                with hw.pipe("scale", [(tile, 1)], par=par) as scale:
-                    (j,) = scale.iters
-                    buf[j] = buf[j] * depth  # a constant slot
-                if tile > 64:  # a structural use of tile
-                    with hw.pipe("push", [(tile, 1)]) as push:
-                        (k,) = push.iters
-                        queue.enqueue(buf[k])
-                hw.tile_store(out, buf, (i,), (tile,), par=par)
-            bestT = hw.bram("bestT", Float32, depth)
-            with hw.pipe("drain", [(depth, 1)]) as drain:
-                (d,) = drain.iters
-                bestT[d] = queue.peek(d)
-            hw.tile_store(best, bestT, (0,), (depth,))
-    return design
-
-
 def test_every_slot_kind_rebinds_and_branches_join_the_key(estimators):
     cold, warm = estimators
     skeletons = {}
@@ -223,9 +196,9 @@ def test_every_slot_kind_rebinds_and_branches_join_the_key(estimators):
     for tile, par, outer, depth in points:
         params = {"tile": tile, "par": par, "outer": outer, "depth": depth,
                   "wide": True}
-        built_exc, built = _outcome(lambda: _toy(**params))
+        built_exc, built = _outcome(lambda: toy_design(**params))
         bound_exc, bound = _outcome(
-            lambda: instantiate(skeletons, _toy, params)
+            lambda: instantiate(skeletons, toy_design, params)
         )
         assert bound_exc is built_exc, params
         if built is None:

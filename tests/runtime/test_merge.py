@@ -1,4 +1,4 @@
-"""Merge layer: conservation accounting and Pareto-front merging."""
+"""Merge layer: conservation accounting, and the sharded Pareto front."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.runtime import (
     Conservation,
     ConservationError,
     merge_outcomes,
-    merge_pareto_fronts,
     plan_shards,
     run_plan,
 )
@@ -64,24 +63,6 @@ class TestConservation:
 
 
 class TestParetoMerge:
-    def test_merged_front_equals_recomputed(self, estimator, executed):
-        plan, run = executed
-        records, _ = merge_outcomes(plan, run.outcomes)
-        key = lambda r: (r.estimate.cycles, float(r.estimate.alms))
-        fitting = [r for r in records
-                   if not r.illegal and r.estimate.fits()]
-        reference = pareto_front(fitting, key=key)
-        per_shard = []
-        for outcome in run.outcomes:
-            shard_fitting = [r for r in sorted(outcome.records,
-                                               key=lambda r: r.index)
-                             if not r.illegal and r.estimate.fits()]
-            per_shard.append(pareto_front(shard_fitting, key=key))
-        merged = merge_pareto_fronts(per_shard, key=key)
-        assert [(r.index, key(r)) for r in merged] == [
-            (r.index, key(r)) for r in reference
-        ]
-
     def test_matches_explore_front(self, estimator):
         bench = get_benchmark("tpchq6")
         result = explore(bench, estimator, max_points=40, seed=5, shards=4)

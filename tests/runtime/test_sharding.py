@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps import get_benchmark
 from repro.runtime import (
-    ShardRangeError, plan_shards, resolve_shard_count, shard_seed,
+    ShardRangeError, plan_shards, resolve_shard_count,
 )
 
 
@@ -96,21 +96,3 @@ class TestResolveShardCount:
         for bad in ("fast", "auto", 1.5, True, 0, -3):
             with pytest.raises(ValueError, match="shards must be"):
                 resolve_shard_count(bad)
-
-
-class TestShardSeeds:
-    def test_streams_decorrelated(self):
-        seeds = {shard_seed(1, i) for i in range(100)}
-        assert len(seeds) == 100
-        assert shard_seed(1, 0) != shard_seed(2, 0)
-
-    def test_per_shard_rng_reproducible(self, space):
-        a = plan_shards(space, 5, 60, 4)
-        b = plan_shards(space, 5, 60, 4)
-        for sa, sb in zip(a.shards, b.shards):
-            assert sa.rng().random() == sb.rng().random()
-
-    def test_sibling_rngs_differ(self, space):
-        plan = plan_shards(space, 5, 60, 4)
-        draws = [s.rng().random() for s in plan.shards]
-        assert len(set(draws)) == len(draws)

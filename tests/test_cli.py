@@ -10,11 +10,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.apps import all_benchmarks
 from repro.cli import _parse_overrides, main
+from repro.params import BoolParam
 
 
 # A flag the CLI no longer has; it must stay an exit-2 usage error.
@@ -297,6 +299,45 @@ class TestBadInputs:
         assert err.count("\n") == 1 and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "gda", "--set", "tile_rows=0"],
+        ["estimate", "dotproduct", "--set", "tile=3"],
+        ["codegen", "gda", "--set", "par_row=0"],
+        ["power", "gda", "--set", "tile_rows=-4"],
+        ["analyze", "gda", "--set", "tile_rows=0"],
+    ])
+    def test_illegal_set_value_is_one_line(self, estimator, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(estimator, *argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"illegal design point for {argv[1]}: ")
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--csv", ["explore", "dotproduct", "--points", "5", "--csv"]),
+        ("-o/--output", ["codegen", "dotproduct", "-o"]),
+        ("-o/--output", ["report", "--points", "5", "-o"]),
+        ("--trace", ["explore", "dotproduct", "--points", "5", "--trace"]),
+        ("--trace-jsonl", ["estimate", "gda", "--trace-jsonl"]),
+        ("--sim-trace",
+         ["speedup", "dotproduct", "--points", "3", "--sim-trace"]),
+    ])
+    def test_output_in_missing_directory_fails_before_any_work(
+        self, monkeypatch, capsys, tmp_path, flag, argv
+    ):
+        def train(*args, **kwargs):
+            raise AssertionError("the estimator was trained")
+
+        monkeypatch.setattr("repro.cli.default_estimator", train)
+        missing = tmp_path / "missing" / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(missing)], out=io.StringIO())
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"argument {flag}: directory " in err
+        assert not missing.parent.exists()
+
     def test_show_one_prints_the_fastest_pareto_point(self, estimator):
         code, text = run_cli(
             estimator, "explore", "gda", "--points", "60", "--show", "1"
@@ -386,60 +427,131 @@ class TestParallelExploreFlags:
         assert "20 restored from checkpoint" in text
 
 
-# Flag values the fuzz test combines: (valid, invalid). ``=`` joins them
-# so argparse takes a leading minus as a value.
-_FLAG_VALUES = {
-    "--workers": (["1", "2", "3"], ["0", "-1", "x"]),
+# What the argv fuzz combines. Each flag maps to (valid, invalid) values,
+# or to None for a bare switch; ``=`` joins flag and value so argparse
+# takes a leading minus as a value. ``{root}`` is the example's temporary
+# directory: ``ckpt`` and ``out`` do not exist yet, ``done`` holds a
+# finished 12-point two-shard tpchq6 checkpoint, ``none`` and ``missing``
+# never exist.
+_OUT = (["{root}/out"], ["{root}/missing/out", "{root}"])
+_POINTS = (["1", "5", "12"], ["0", "-2", "x"])  # always drawn: <= 12 points
+_WORKERS = (["1", "2", "3"], ["0", "-1", "x"])
+_OBS_FLAGS = {
+    "--trace": _OUT,
+    "--trace-jsonl": _OUT,
+    "--span-cap": (["0", "3"], ["-1", "x"]),
+    "--metrics": None,
+}
+_NO_CACHE = {"--no-cache": None}
+_SWEEP_FLAGS = {"--points": _POINTS, "--seed": (["1", "2"], ["x"])}
+_SHOW = {"--show": (["1", "8"], ["x"])}
+_PARALLEL_FLAGS = {
+    "--workers": _WORKERS,
     "--shards": (["1", "2", "7"], ["0", "-3", "2.5"]),
     "--shard-range": (["0:1", "1:3", "0:7"],
                       ["0:40", "2:2", "3:1", "-1:2", "a:b", "3"]),
+    "--checkpoint-dir": (["{root}/ckpt", "{root}/done"], []),
+    "--resume": (["{root}/ckpt", "{root}/done"], ["{root}/none"]),
+}
+_COMMANDS = {
+    "list": {},
+    "estimate": {**_OBS_FLAGS, **_NO_CACHE},
+    "explore": {**_OBS_FLAGS, **_NO_CACHE, **_SWEEP_FLAGS, **_SHOW,
+                "--csv": _OUT, **_PARALLEL_FLAGS},
+    "merge-checkpoints": {**_OBS_FLAGS, **_SHOW},
+    "speedup": {**_OBS_FLAGS, **_NO_CACHE, **_SWEEP_FLAGS,
+                "--sim-trace": _OUT},
+    "codegen": {**_OBS_FLAGS, "--output": _OUT},
+    "power": _NO_CACHE,
+    "analyze": _NO_CACHE,
+    "report": {**_OBS_FLAGS, **_NO_CACHE, "--points": _POINTS,
+               "--workers": _WORKERS, "--output": _OUT},
+}
+_TAKES_SET = ("estimate", "codegen", "power", "analyze")
+_BENCHES = sorted(b.name for b in all_benchmarks())
+# Legal --set values per benchmark and parameter, as the CLI spells them.
+_SET_VALUES = {
+    bench.name: {
+        param.name: (["true", "false"] if isinstance(param, BoolParam)
+                     else [str(c) for c in param.candidates])
+        for param in bench.param_space(bench.default_dataset()).params
+    }
+    for bench in all_benchmarks()
 }
 
 
 @st.composite
-def _parallel_argv(draw):
-    """``explore tpchq6`` argv over the parallel flags; directories are
-    named by role and resolved per example (``ckpt``: fresh directory;
-    ``done``: a finished 12-point two-shard checkpoint; ``none``: never
-    created)."""
-    argv = ["explore", "tpchq6", "--points", str(draw(st.integers(1, 12)))]
-    for flag, (valid, invalid) in _FLAG_VALUES.items():
-        kind = draw(st.sampled_from(["omit", "omit", "valid", "valid",
-                                     "invalid"]))
-        if kind != "omit":
-            values = valid if kind == "valid" else invalid
-            argv.append(f"{flag}={draw(st.sampled_from(values))}")
-    checkpoint = draw(st.sampled_from([None, "ckpt", "done"]))
-    if checkpoint:
-        argv += ["--checkpoint-dir", checkpoint]
-    resume = draw(st.sampled_from([None, None, "ckpt", "done", "none"]))
-    if resume:
-        argv += ["--resume", resume]
+def _set_pair(draw, bench):
+    """One ``--set`` token: legal, illegal, unknown or malformed."""
+    values = _SET_VALUES.get(bench, {"tile": ["64"]})
+    key = draw(st.sampled_from(sorted(values) + ["nosuch"]))
+    value = draw(st.one_of(
+        st.sampled_from(values.get(key, ["1"])),
+        st.sampled_from(["0", "-4", "3", "1.5", "x", "true"]),
+    ))
+    return draw(st.sampled_from([f"{key}={value}", f"{key}={value}", key]))
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand, its positionals, then each of its flags omitted or
+    given a valid or invalid value; ``--points`` is never omitted."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    bench = None
+    if command == "merge-checkpoints":
+        argv.append(draw(st.sampled_from(["{root}/done", "{root}/none"])))
+    elif command not in ("list", "report"):
+        bench = draw(st.sampled_from(_BENCHES + ["nosuch"]))
+        argv.append(bench)
+    for flag, values in _COMMANDS[command].items():
+        kinds = ["valid", "invalid"] if flag == "--points" else [
+            "omit", "omit", "valid", "valid", "invalid"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "omit":
+            continue
+        if values is None:
+            argv.append(flag)
+            continue
+        valid, invalid = values
+        choices = invalid if kind == "invalid" and invalid else valid
+        argv.append(f"{flag}={draw(st.sampled_from(choices))}")
+    if command in _TAKES_SET and draw(st.booleans()):
+        argv += ["--set"] + draw(st.lists(_set_pair(bench), max_size=2))
     if draw(st.integers(0, 4)) == 0:
         argv.append(REMOVED_FLAG)
     return argv
 
 
-class TestParallelFlagFuzz:
-    """Every combination of the parallel flags either runs or fails with
-    one line: never a traceback."""
+class TestArgvFuzz:
+    """Every subcommand, with any mix of valid and invalid flags, either
+    runs or fails with one line: never a traceback."""
 
     @settings(max_examples=80, deadline=None)
-    @given(argv=_parallel_argv())
+    @example(argv=["estimate", "gda", "--set", "tile_rows=0"])
+    @example(argv=["estimate", "dotproduct", "--set", "tile=3"])
+    @example(argv=["codegen", "gda", "--set", "par_row=0"])
+    @example(argv=["power", "gda", "--set", "tile_rows=-4"])
+    @example(argv=["explore", "dotproduct", "--points=5",
+                   "--csv={root}/missing/x.csv"])
+    @example(argv=["codegen", "dotproduct", "--output={root}/missing/x"])
+    @example(argv=["explore", "dotproduct", "--points=5",
+                   "--trace={root}/missing/t.json"])
+    @example(argv=["speedup", "dotproduct", "--points=3",
+                   "--sim-trace={root}/missing/s.json"])
+    @example(argv=["report", "--points=1"])  # a sweep with no fitting design
+    @given(argv=_argv())
     def test_exit_zero_or_one_line_error(self, estimator, argv):
         with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            if "done" in argv:
+            if any("{root}/done" in a for a in argv):
                 main(["explore", "tpchq6", "--points", "12", "--shards",
-                      "2", "--checkpoint-dir", str(root / "done")],
+                      "2", "--checkpoint-dir", str(Path(tmp) / "done")],
                      out=io.StringIO(), estimator=estimator)
-            argv = [str(root / a) if a in ("ckpt", "done", "none") else a
-                    for a in argv]
-            err = io.StringIO()
+            argv = [a.replace("{root}", tmp) for a in argv]
+            out, err = io.StringIO(), io.StringIO()
             try:
                 with contextlib.redirect_stderr(err):
-                    code = main(argv, out=io.StringIO(),
-                                estimator=estimator)
+                    code = main(argv, out=out, estimator=estimator)
             except SystemExit as exc:
                 if isinstance(exc.code, str):
                     message = exc.code  # printed by the interpreter
@@ -451,8 +563,9 @@ class TestParallelFlagFuzz:
                 if REMOVED_FLAG in argv:
                     assert exc.code == 2, argv
             else:
-                assert code == 0, argv
                 assert REMOVED_FLAG not in argv
+                # ``speedup`` exits 1 with one line when nothing fits.
+                assert code == 0 or out.getvalue().count("\n") == 1, argv
 
 
 class TestStreamingTraceFlag:

@@ -1,12 +1,10 @@
-"""Cross-backend consistency: MaxJ and HLS-C must describe the same design."""
-
-import re
+"""MaxJ-vs-IR consistency: the generated MaxJ describes the design it
+was generated from, for every Table II app."""
 
 import pytest
 
 from repro.apps import all_benchmarks
-from repro.codegen import generate_hlsc, generate_maxj
-from repro.ir.controllers import Pipe
+from repro.codegen import generate_maxj
 from repro.ir.memories import BRAM
 
 
@@ -22,48 +20,20 @@ def design(request):
 class TestBackendAgreement:
     def test_same_offchip_interfaces(self, design):
         maxj = generate_maxj(design)
-        hlsc = generate_hlsc(design)
         for mem in design.offchip_mems:
             assert mem.name in maxj
-            assert mem.name in hlsc
 
     def test_same_bram_count(self, design):
         maxj = generate_maxj(design)
-        hlsc = generate_hlsc(design)
         brams = [m for m in design.onchip_mems() if isinstance(m, BRAM)]
         assert maxj.count("mem.alloc") == len(brams)
-        # Every BRAM appears as a local array declaration in the C.
-        for mem in brams:
-            assert re.search(rf"\b{mem.name}_\d+\[", hlsc), mem.name
 
-    def test_loop_count_matches_counters(self, design):
-        hlsc = generate_hlsc(design)
-        total_dims = sum(
-            len(c.cchain.dims)
-            for c in design.controllers()
-            if c.cchain is not None
-        )
-        assert hlsc.count(": for (int") == total_dims
-
-    def test_pipeline_pragma_per_counted_pipe(self, design):
-        hlsc = generate_hlsc(design)
-        counted_pipes = sum(
-            1
-            for c in design.controllers()
-            if isinstance(c, Pipe) and c.cchain is not None
-        )
-        assert hlsc.count("#pragma HLS PIPELINE") == counted_pipes
-
-    def test_double_buffer_annotation_only_in_maxj(self, design):
-        """Double buffering is a DHDL schedule concept; the HLS form cannot
-        express it (the paper's point)."""
+    def test_double_buffer_annotation(self, design):
+        """Double buffering is a DHDL schedule concept the MaxJ carries."""
         maxj = generate_maxj(design)
-        hlsc = generate_hlsc(design)
         has_double = any(
             m.double_buffered
             for m in design.onchip_mems()
             if isinstance(m, BRAM)
         )
-        if has_double:
-            assert "double-buffered" in maxj
-        assert "double-buffered" not in hlsc
+        assert ("double-buffered" in maxj) == has_double

@@ -1,7 +1,7 @@
-"""Golden-file regression tests for both code generation backends.
+"""Golden-file regression test for the MaxJ backend.
 
-The expected outputs live in ``tests/golden/``; any intentional generator
-change must regenerate them (see the builder function below — it is the
+The expected output lives in ``tests/golden/``; any intentional generator
+change must regenerate it (see the builder function below — it is the
 single source of the golden design).
 """
 
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.codegen import generate_hlsc, generate_maxj
+from repro.codegen import generate_maxj
 from repro.ir import Design, Float32
 from repro.ir import builder as hw
 
@@ -17,7 +17,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def golden_design() -> Design:
-    """The fixed reference design the golden files were generated from."""
+    """The fixed reference design the golden file was generated from."""
     with Design("golden") as d:
         a = hw.offchip("a", Float32, 64)
         out = hw.arg_out("out", Float32)
@@ -43,10 +43,6 @@ class TestGoldenFiles:
     def test_maxj_matches_golden(self):
         expected = (GOLDEN_DIR / "golden.maxj").read_text()
         assert generate_maxj(golden_design()) == expected
-
-    def test_hlsc_matches_golden(self):
-        expected = (GOLDEN_DIR / "golden.c").read_text()
-        assert generate_hlsc(golden_design()) == expected
 
     def test_generation_is_deterministic(self):
         a = generate_maxj(golden_design())
