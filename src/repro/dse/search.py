@@ -2,10 +2,13 @@
 
 The paper samples up to 75,000 random legal points. Because the estimator
 makes each probe nearly free, a guided walk can do better per probe: this
-module adds randomized hill climbing with restarts over the same pruned
-space. The neighborhood of a point changes one parameter to an adjacent
-candidate value (tile sizes and factors are ordered), which matches the
-smooth structure of the runtime/area surfaces the estimator exposes.
+module spends half of its probe budget on the paper's random sample and
+the rest on hill climbing from the best sampled points, then from fresh
+random starts. The neighborhood of a point changes one parameter to an
+adjacent candidate value (tile sizes and factors are ordered), which
+matches the smooth structure of the runtime/area surfaces the estimator
+exposes. Climbing from a random start alone can stall on a plateau far
+from the optimum; starting from the sample's best points avoids that.
 
 The search optimizes runtime subject to fitting the device; the ablation
 bench compares its sample efficiency against pure random sampling.
@@ -20,6 +23,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..apps.registry import Benchmark, Dataset
 from ..estimation.estimator import Estimate, Estimator
+from ..estimation.plan import Plan
+from ..ir.graph import Design
 from ..ir.node import IRError
 from ..ir.skeleton import Skeletons, instantiate
 from ..params import BoolParam, IntParam, ParamSpace
@@ -74,7 +79,12 @@ def local_search(
     restarts: int = 6,
     seed: int = 1,
 ) -> SearchResult:
-    """Randomized hill climbing on runtime over the legal space.
+    """Random sampling, then hill climbing on runtime over the legal space.
+
+    The first ``budget // 2`` probes sample the space at random. Each
+    sampled point that fits the device then seeds a first-improvement
+    climb, fastest first; once those are spent, climbs start from fresh
+    random points drawn ``restarts`` at a time.
 
     A per-search ``seen`` map dedupes the walk: each distinct point is
     instantiated and estimated once and costs one evaluation of the
@@ -86,8 +96,10 @@ def local_search(
     rng = random.Random(seed)
     result = SearchResult(benchmark.name, dataset)
     seen: Dict[Tuple, Optional[Estimate]] = {}
-    # Skeletons live for this search only (see repro.ir.skeleton).
+    # Skeletons and their estimation plans live for this search only
+    # (see repro.ir.skeleton and repro.estimation.plan).
     skeletons: Skeletons = {}
+    plans: Dict[Design, Plan] = {}
     build = functools.partial(benchmark.build, dataset)
 
     def evaluate(point: Point) -> Optional[Estimate]:
@@ -102,7 +114,10 @@ def local_search(
         except IRError:
             estimate: Optional[Estimate] = None
         else:
-            estimate = estimator.estimate(design)
+            plan = plans.get(design)
+            if plan is None:
+                plan = plans[design] = estimator.plan(design)
+            (estimate,) = estimator.finish_many([plan.analyze()])
         seen[key] = estimate
         if estimate is None:
             return None
@@ -114,6 +129,30 @@ def local_search(
         )
         return estimate
 
+    def climb(current: Point, current_est: Optional[Estimate]) -> None:
+        result.restarts += 1
+        while result.evaluations < budget:
+            for neighbor in _neighbors(space, current, rng):
+                est = evaluate(neighbor)
+                if est is None:
+                    continue
+                if est.fits() and (
+                    current_est is None
+                    or not current_est.fits()
+                    or est.cycles < current_est.cycles
+                ):
+                    current, current_est = neighbor, est
+                    break
+            else:
+                return
+
+    sampled = [(p, evaluate(p)) for p in space.sample(rng, budget // 2)]
+    fitting = [(p, e) for p, e in sampled if e is not None and e.fits()]
+    for start, est in sorted(fitting, key=lambda pe: pe[1].cycles):
+        if result.evaluations >= budget:
+            break
+        climb(start, est)
+
     # Keep restarting from fresh random points until the probe budget is
     # spent; `restarts` only sets how many starts are drawn per batch.
     while result.evaluations < budget:
@@ -124,25 +163,7 @@ def local_search(
         for start in starts:
             if result.evaluations >= budget:
                 break
-            result.restarts += 1
-            current = start
-            current_est = evaluate(current)
-            while result.evaluations < budget:
-                improved = False
-                for neighbor in _neighbors(space, current, rng):
-                    est = evaluate(neighbor)
-                    if est is None:
-                        continue
-                    if est.fits() and (
-                        current_est is None
-                        or not current_est.fits()
-                        or est.cycles < current_est.cycles
-                    ):
-                        current, current_est = neighbor, est
-                        improved = True
-                        break
-                if not improved:
-                    break
+            climb(start, evaluate(start))
         if result.evaluations == evals_before:
             break  # everything reachable was seen; stop cleanly
     return result

@@ -8,18 +8,19 @@ from .area import (
     raw_analysis,
     raw_area,
 )
-from .cache import (
-    CachedTemplateModels,
-    EstimationCaches,
-    LRUCache,
-    PipeScheduleInfo,
-)
+from .cache import CachedTemplateModels, EstimationCaches, LRUCache
 from .characterize import TemplateModels, characterize_templates
 from .counts import Counts
-from .cycles import CycleEstimate, estimate_cycles, transfer_cycles
-from .estimator import Analysis, Estimate, Estimator, default_estimator
+from .cycles import (
+    CycleEstimate,
+    PipeSchedule,
+    estimate_cycles,
+    transfer_cycles,
+)
+from .estimator import Estimate, Estimator, default_estimator
 from .features import N_FEATURES, design_features
 from .nn import MLP, MLPConfig, fit_linear
+from .plan import Analysis, Plan, compile_plan
 from .power import PowerEstimate, estimate_power
 from .samples import generate_sample_design
 from .store import load_estimator, save_estimator
@@ -42,11 +43,13 @@ __all__ = [
     "MLP",
     "MLPConfig",
     "N_FEATURES",
-    "PipeScheduleInfo",
+    "PipeSchedule",
+    "Plan",
     "PowerEstimate",
     "RawArea",
     "TemplateModels",
     "characterize_templates",
+    "compile_plan",
     "corrected_areas",
     "default_estimator",
     "design_features",

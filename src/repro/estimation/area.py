@@ -5,7 +5,10 @@ Two-step approach:
 1. **Raw counting** — walk the design's IR and sum the characterized
    template models for every node, including delay-balancing resources
    computed from an ASAP schedule of each Pipe body (slack times path
-   width, registers below a threshold, BRAM delay lines above it).
+   width, registers below a threshold, BRAM delay lines above it). The
+   walk is compiled once per design into an :class:`AreaPlan` whose
+   replay reads the bound integers, so a DSE prices every point of a
+   skeleton's class without walking the IR again.
 
 2. **Design-level corrections** — feed the raw counts into the trained
    neural networks to estimate routing LUTs, duplicated registers, and
@@ -20,21 +23,21 @@ these are a real error source, as the paper observes for gemm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
-from ..ir.graph import Design, replication
+from ..ir.graph import Design
 from ..ir.memories import BRAM, OnChipMemory, PriorityQueue, Reg
 from ..ir.memops import TileTransfer
 from ..ir.node import Const, Node, Value
 from ..ir.primitives import LoadOp, Prim, StoreOp
-from ..synth.netlist import DELAY_BRAM_THRESHOLD, asap_schedule
+from ..synth.netlist import DELAY_BRAM_THRESHOLD
 from ..target.board import MAIA, Board
 from .characterize import TemplateModels
 from .counts import Counts
+from .cycles import pipe_body, pipe_schedule
 
 # Heuristic predictions of toolchain fusion optimizations. These are the
 # estimator's guesses; the toolchain's true behavior differs slightly.
@@ -47,13 +50,7 @@ class RawArea:
     """Output of the raw-counting pass."""
 
     counts: Counts = field(default_factory=Counts)
-    by_tag: Dict[str, Counts] = field(default_factory=dict)
     wire_bits: float = 0.0
-
-    def add(self, tag: str, counts: Counts) -> None:
-        """Accumulate one template's counts under a category tag."""
-        self.counts.add(counts)
-        self.by_tag.setdefault(tag, Counts()).add(counts)
 
 
 @dataclass
@@ -91,165 +88,248 @@ def raw_area(design: Design, models: TemplateModels, caches=None) -> RawArea:
     """Sum characterized template models over every node in the design.
 
     Outer-loop parallelization replicates hardware, so every template's
-    counts are scaled by the replication factor of its scope.
+    counts are scaled by the replication factor of its scope. Compiles
+    the design's :class:`AreaPlan` and replays it once.
 
     ``caches`` is an optional
     :class:`~repro.estimation.cache.EstimationCaches`: template
-    predictions are memoized and per-Pipe delay-balancing counts are
-    reused across structurally identical bodies. Results are
-    bit-identical with and without it.
+    predictions are memoized and Pipe schedules are reused across
+    structurally identical bodies. Results are bit-identical with and
+    without it.
     """
-    raw = RawArea()
-    device = models.device
-    if caches is not None:
-        models = caches.wrap_templates(models)
-    for ctrl in design.controllers():
-        scoped = _ScopedRawArea(raw, replication(ctrl))
-        _count_controller(ctrl, models, scoped, caches)
-    for mem in design.onchip_mems():
-        scoped = _ScopedRawArea(raw, replication(mem))
-        _count_memory(mem, models, scoped, device)
-    for node in design.nodes:
-        if isinstance(node, Value) and not isinstance(node, Const):
-            raw.wire_bits += node.tp.bits * max(node.width, 1) * replication(node)
-    return raw
+    return AreaPlan(design, models, caches).replay()
 
 
-class _ScopedRawArea:
-    """RawArea view scaling every contribution by a replication factor."""
-
-    def __init__(self, raw: RawArea, factor: int) -> None:
-        self._raw = raw
-        self._factor = factor
-
-    def add(self, tag: str, counts: Counts) -> None:
-        if self._factor != 1:
-            counts = counts.scaled(self._factor)
-        self._raw.add(tag, counts)
+#: Reads a template's parameters at the bound point: ``(name, value)``
+#: pairs sorted by name, or ``None`` when the template has no instance.
+Reader = Callable[[], Optional[Tuple[Tuple[str, object], ...]]]
 
 
-# -- per-template counting -------------------------------------------------------
+class _Top:
+    """The scope of a top-level node: a single hardware copy."""
+
+    body_replication = 1
 
 
-def _count_controller(
-    ctrl: Controller, models: TemplateModels, raw: RawArea, caches=None
+_TOP = _Top()
+
+
+def _scope(node: Node) -> object:
+    """The node whose ``body_replication`` is ``node``'s replication."""
+    return node.parent if node.parent is not None else _TOP
+
+
+class AreaPlan:
+    """The raw-counting pass of one design, compiled into a flat list.
+
+    With ``caches`` (an
+    :class:`~repro.estimation.cache.EstimationCaches`), the plan predicts
+    through the template LRU and Pipe schedules come from the schedule
+    cache. Compiling walks the design once and records, in accumulation
+    order, one term per template instance and per delay-balancing edge,
+    then the wire-bit terms.
+
+    A term is a ``(key, read, scope, scale, brams)`` tuple. A template
+    term predicts template ``key`` at the parameters ``read()`` returns,
+    multiplies every resource by ``scale`` (an FMA or reduction-tree
+    discount) and takes its BRAMs from ``brams()`` (analytic block
+    geometry) when given. A delay-balancing edge has ``key=None``:
+    ``read()`` is the delayed value's bits and ``scale`` its ASAP slack.
+    Every term is replicated ``scope.body_replication`` times.
+
+    Fixed at compile time: which templates
+    exist, their keys, their structural parameters (bit widths, stage
+    counts, counter dimensions, double buffering), FMA and tree
+    discounts, and every edge's ASAP slack. Read at replay: vector
+    widths, banks, ``par``, command counts, queue depths, BRAM sizes and
+    replication factors. After a skeleton re-bind
+    (:mod:`repro.ir.skeleton`) :meth:`replay` therefore prices the new
+    point, with the same float operations in the same order as a fresh
+    compile, so results are bit-identical.
+    """
+
+    def __init__(
+        self, design: Design, models: TemplateModels, caches=None
+    ) -> None:
+        device = models.device
+        if caches is not None:
+            models = caches.wrap_templates(models)
+        self.terms: List[Tuple] = []
+        for ctrl in design.controllers():
+            _compile_controller(
+                ctrl, models, _emitter(self.terms, _scope(ctrl)), caches
+            )
+        for mem in design.onchip_mems():
+            _compile_memory(mem, _emitter(self.terms, _scope(mem)), device)
+        self.wires: List[Tuple[int, Node, object]] = [
+            (node.tp.bits, node, _scope(node)) for node in design.nodes
+            if isinstance(node, Value) and not isinstance(node, Const)
+        ]
+        self._predict = models.predict_tuple
+
+    def replay(self) -> RawArea:
+        """The raw counts and wire bits of the design's bound point."""
+        predict = self._predict
+        lp = lu = regs = dsps = brams = 0.0
+        for key, read, scope, scale, bram_blocks in self.terms:
+            factor = scope.body_replication
+            if key is None:  # delay line: registers, or BRAM when long
+                bits = read()
+                if scale > DELAY_BRAM_THRESHOLD:
+                    blocks = max(1.0, bits * scale / (20 * 1024 * 0.8))
+                    brams += blocks * factor
+                else:
+                    regs += bits * scale * factor
+                continue
+            params = read()
+            if params is None:
+                continue
+            p, u, r, d, b = predict(key, params)
+            if scale is not None:
+                p, u, r = p * scale, u * scale, r * scale
+                d, b = d * scale, b * scale
+            if bram_blocks is not None:
+                b = bram_blocks()
+            lp += p * factor
+            lu += u * factor
+            regs += r * factor
+            dsps += d * factor
+            brams += b * factor
+        wire_bits = 0.0
+        for bits, node, scope in self.wires:
+            wire_bits += bits * max(node.width, 1) * scope.body_replication
+        return RawArea(Counts(lp, lu, regs, dsps, brams), wire_bits)
+
+
+#: Appends one term of a fixed scope: ``emit(key, read, scale, brams)``.
+Emit = Callable[..., None]
+
+
+def _emitter(terms: List[Tuple], scope: object) -> Emit:
+    append = terms.append
+
+    def emit(key, read, scale=None, brams=None) -> None:
+        append((key, read, scope, scale, brams))
+
+    return emit
+
+
+# -- parameter readers (names sorted, as the template cache keys them) -------
+
+
+def _fixed(params: Tuple[Tuple[str, object], ...]) -> Reader:
+    return lambda: params
+
+
+def _prim_params(bits: int, lanes: Node, field: str = "width") -> Reader:
+    """A primitive of ``lanes.<field>`` lanes."""
+    return lambda: (("bits", bits), ("width", getattr(lanes, field)))
+
+
+def _access_params(
+    bits: int, lanes: Node, mem: OnChipMemory, field: str = "width"
+) -> Reader:
+    """A load or store of ``lanes.<field>`` lanes into ``mem``'s banks."""
+    return lambda: (
+        ("banks", mem.banks), ("bits", bits), ("width", getattr(lanes, field)),
+    )
+
+
+def _delay_bits(value: Node) -> Callable[[], int]:
+    bits = value.tp.bits
+    return lambda: bits * max(value.width, 1)
+
+
+# -- per-template rules ---------------------------------------------------
+
+
+def _compile_controller(
+    ctrl: Controller, models, emit: Emit, caches=None
 ) -> None:
     if ctrl.cchain is not None:
-        raw.add(
-            "counter",
-            models.predict(
-                "counter", {"ndims": len(ctrl.cchain.dims), "par": ctrl.par}
-            ),
-        )
+        ndims = len(ctrl.cchain.dims)
+        emit("counter", lambda: (("ndims", ndims), ("par", ctrl.par)))
     if isinstance(ctrl, Pipe):
-        _count_pipe(ctrl, models, raw, caches)
+        _compile_pipe(ctrl, models, emit, caches)
     elif isinstance(ctrl, TileTransfer):
-        raw.add(
-            "tile_transfer",
-            models.predict(
-                "tile_transfer",
-                {
-                    "bits": ctrl.offchip.tp.bits,
-                    "par": ctrl.par,
-                    "num_commands": ctrl.num_commands,
-                },
-            ),
-        )
+        bits = ctrl.offchip.tp.bits
+        emit("tile_transfer", lambda: (
+            ("bits", bits), ("num_commands", ctrl.num_commands),
+            ("par", ctrl.par),
+        ))
     elif isinstance(ctrl, MetaPipe):
-        raw.add("control", models.predict("metapipe", {"n": len(ctrl.stages)}))
-        _count_outer_prims(ctrl, models, raw)
-        _count_accum(ctrl, models, raw)
+        emit("metapipe", _fixed((("n", len(ctrl.stages)),)))
+        _compile_outer_prims(ctrl, models, emit)
+        _compile_accum(ctrl, models, emit)
     elif isinstance(ctrl, Parallel):
-        raw.add("control", models.predict("parallel", {"n": len(ctrl.stages)}))
+        emit("parallel", _fixed((("n", len(ctrl.stages)),)))
     elif isinstance(ctrl, Sequential):
-        raw.add("control", models.predict("sequential", {"n": len(ctrl.stages)}))
-        _count_outer_prims(ctrl, models, raw)
-        _count_accum(ctrl, models, raw)
+        emit("sequential", _fixed((("n", len(ctrl.stages)),)))
+        _compile_outer_prims(ctrl, models, emit)
+        _compile_accum(ctrl, models, emit)
 
 
-def _count_outer_prims(ctrl: Controller, models: TemplateModels, raw: RawArea) -> None:
+def _compile_outer_prims(ctrl: Controller, models, emit: Emit) -> None:
     for node in ctrl.body_prims:
         if isinstance(node, Prim):
-            raw.add("prim", models.predict_prim(node.op, node.tp, node.width))
+            emit(
+                models.prim_key(node.op, node.tp),
+                _prim_params(node.tp.bits, node),
+            )
 
 
-def _count_accum(ctrl: Controller, models: TemplateModels, raw: RawArea) -> None:
+def _compile_accum(ctrl: Controller, models, emit: Emit) -> None:
     if ctrl.accum is None:
         return
     op, target = ctrl.accum
     tp = target.tp
+    key = models.prim_key(op, tp)
     if isinstance(target, BRAM):
-        width = target.banks
-        raw.add("accum", models.predict_prim(op, tp, width))
-        raw.add(
-            "accum",
-            models.predict(
-                "load", {"bits": tp.bits, "width": width, "banks": target.banks}
-            ),
-        )
-        raw.add(
-            "accum",
-            models.predict(
-                "store", {"bits": tp.bits, "width": width, "banks": target.banks}
-            ),
-        )
+        # One accumulator lane per bank.
+        emit(key, _prim_params(tp.bits, target, "banks"))
+        emit("load", _access_params(tp.bits, target, target, "banks"))
+        emit("store", _access_params(tp.bits, target, target, "banks"))
     else:
-        raw.add("accum", models.predict_prim(op, tp, 1))
+        emit(key, _fixed((("bits", tp.bits), ("width", 1))))
 
 
-def _count_pipe(
-    pipe: Pipe, models: TemplateModels, raw: RawArea, caches=None
-) -> None:
-    body = [n for n in pipe.body_prims if not isinstance(n, Const)]
-    raw.add("control", models.predict("pipe", {"n": len(body)}))
+def _compile_pipe(pipe: Pipe, models, emit: Emit, caches=None) -> None:
+    body = pipe_body(pipe)
+    emit("pipe", _fixed((("n", len(body)),)))
 
     fused_adds = _predict_fma_fusions(body)
     for node in body:
         if isinstance(node, Prim):
-            counts = models.predict_prim(node.op, node.tp, node.width)
-            if node.nid in fused_adds:
-                counts = counts.scaled(EST_FMA_DISCOUNT)
-            raw.add("prim", counts)
+            emit(
+                models.prim_key(node.op, node.tp),
+                _prim_params(node.tp.bits, node),
+                EST_FMA_DISCOUNT if node.nid in fused_adds else None,
+            )
         elif isinstance(node, LoadOp):
-            raw.add(
-                "load",
-                models.predict(
-                    "load",
-                    {
-                        "bits": node.tp.bits,
-                        "width": node.width,
-                        "banks": node.mem.banks,
-                    },
-                ),
-            )
+            emit("load", _access_params(node.tp.bits, node, node.mem))
         elif isinstance(node, StoreOp):
-            raw.add(
-                "store",
-                models.predict(
-                    "store",
-                    {
-                        "bits": node.mem.tp.bits,
-                        "width": node.width,
-                        "banks": node.mem.banks,
-                    },
-                ),
-            )
-    _count_reduce_tree(pipe, models, raw)
-    _count_delays(pipe, body, raw, caches)
+            emit("store", _access_params(node.mem.tp.bits, node, node.mem))
+    _compile_reduce_tree(pipe, models, emit)
+    # Delay-balancing resources from ASAP slack (paper Section IV-B2).
+    for position, slack in pipe_schedule(pipe, caches).delays:
+        emit(None, _delay_bits(body[position]), slack)
 
 
-def _count_reduce_tree(pipe: Pipe, models: TemplateModels, raw: RawArea) -> None:
+def _compile_reduce_tree(pipe: Pipe, models, emit: Emit) -> None:
     if pipe.accum is None or not isinstance(pipe.result, Value):
         return
     op, _ = pipe.accum
     tp = pipe.result.tp
-    tree_ops = max(pipe.par - 1, 0)
-    if tree_ops:
-        counts = models.predict_prim(op, tp, tree_ops)
-        if tp.is_float and op in ("add", "sub"):
-            counts = counts.scaled(EST_TREE_DISCOUNT)
-        raw.add("reduce_tree", counts)
-    raw.add("reduce_tree", models.predict_prim(op, tp, 1))
+    key = models.prim_key(op, tp)
+    bits = tp.bits
+
+    def tree() -> Optional[Tuple[Tuple[str, object], ...]]:
+        tree_ops = pipe.par - 1
+        return (("bits", bits), ("width", tree_ops)) if tree_ops > 0 else None
+
+    fused = tp.is_float and op in ("add", "sub")
+    emit(key, tree, EST_TREE_DISCOUNT if fused else None)
+    emit(key, _fixed((("bits", bits), ("width", 1))))
 
 
 def _predict_fma_fusions(body: List[Node]) -> set:
@@ -268,74 +348,28 @@ def _predict_fma_fusions(body: List[Node]) -> set:
     return fused
 
 
-def delay_contributions(body: List[Node], times) -> List[Counts]:
-    """Per-edge delay-balancing Counts in deterministic traversal order.
-
-    Exposed for the schedule cache (:mod:`repro.estimation.cache`): the
-    list is fully determined by the body's structural signature, and
-    replaying it performs the same float additions in the same order as
-    the cold path, keeping cached estimates bit-identical.
-    """
-    out: List[Counts] = []
-    for node in body:
-        start = times[node.nid][0]
-        for inp in getattr(node, "inputs", []):
-            if inp.nid not in times or isinstance(inp, Const):
-                continue
-            slack = start - times[inp.nid][1]
-            if slack <= 0:
-                continue
-            bits = inp.tp.bits * max(inp.width, 1)
-            if slack > DELAY_BRAM_THRESHOLD:
-                blocks = max(1.0, bits * slack / (20 * 1024 * 0.8))
-                out.append(Counts(brams=blocks))
-            else:
-                out.append(Counts(regs=bits * slack))
-    return out
-
-
-def _count_delays(
-    pipe: Pipe, body: List[Node], raw: RawArea, caches=None
-) -> None:
-    """Delay-balancing resources from ASAP slack (paper Section IV-B2)."""
-    if caches is not None:
-        contributions = caches.pipe_info(pipe, body).delays
-    else:
-        contributions = delay_contributions(body, asap_schedule(body))
-    for counts in contributions:
-        raw.add("delay", counts)
-
-
-def _count_memory(
-    mem: OnChipMemory, models: TemplateModels, raw: RawArea, device
-) -> None:
+def _compile_memory(mem: OnChipMemory, emit: Emit, device) -> None:
+    bits = mem.tp.bits
+    double = mem.double_buffered
     if isinstance(mem, BRAM):
-        words_per_bank = -(-mem.size // max(mem.banks, 1))
-        blocks = mem.banks * device.bram_blocks_for(words_per_bank, mem.tp.bits)
-        if mem.double_buffered:
-            blocks *= 2
-        counts = models.predict(
+        emit(
             "bram",
-            {
-                "banks": mem.banks,
-                "bits": mem.tp.bits,
-                "double": mem.double_buffered,
-            },
+            lambda: (("banks", mem.banks), ("bits", bits), ("double", double)),
+            brams=lambda: float(_bram_blocks(mem, device)),
         )
-        counts.brams = float(blocks)
-        raw.add("bram", counts)
     elif isinstance(mem, PriorityQueue):
-        raw.add(
-            "pqueue",
-            models.predict("pqueue", {"depth": mem.depth, "bits": mem.tp.bits}),
-        )
+        emit("pqueue", lambda: (("bits", bits), ("depth", mem.depth)))
     elif isinstance(mem, Reg):
-        raw.add(
-            "reg",
-            models.predict(
-                "reg", {"bits": mem.tp.bits, "double": mem.double_buffered}
-            ),
-        )
+        emit("reg", _fixed((("bits", bits), ("double", double))))
+
+
+def _bram_blocks(mem: BRAM, device) -> int:
+    """Physical blocks of ``mem``'s banks (twice that when double buffered)."""
+    words_per_bank = -(-mem.size // max(mem.banks, 1))
+    blocks = mem.banks * device.bram_blocks_for(words_per_bank, mem.tp.bits)
+    if mem.double_buffered:
+        blocks *= 2
+    return blocks
 
 
 # -- hybrid estimate ---------------------------------------------------------------

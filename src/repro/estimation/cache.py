@@ -19,8 +19,13 @@ single estimated bit:
   result (the BRAM block override) never alias cached state.
 * :class:`EstimationCaches` — the bundle an
   :class:`~repro.estimation.estimator.Estimator` owns: template
-  predictions and per-Pipe ASAP schedule/delay-balancing reuse keyed on
-  a structural hash (:func:`repro.synth.netlist.structural_signature`).
+  predictions and per-Pipe ASAP schedules (critical path and
+  delay-edge slacks) keyed on a structural hash
+  (:func:`repro.synth.netlist.structural_signature`).
+
+Estimation plans (:mod:`repro.estimation.plan`) predict every template
+through the template cache on every replay, with the cache's own key
+format; the schedule cache serves plan compiles.
 
 There is no whole-design-point cache: a DSE sweep prices distinct
 sampled points, and guided search dedupes its own walk.
@@ -31,9 +36,8 @@ survive the fork-after-training worker pool: children inherit the warm
 parent cache copy-on-write and keep private statistics.
 
 Exactness contract: a cached value is always the object (or a
-value-equal reconstruction) the cold path would have computed, and the
-delay-balancing replay performs the same float additions in the same
-order — estimates with caching enabled are bit-identical to the
+value-equal reconstruction) the cold path would have computed, so
+estimates with caching enabled are bit-identical to the
 ``--no-cache`` path (property-tested in
 ``tests/estimation/test_cache_equivalence.py``).
 """
@@ -41,13 +45,13 @@ order — estimates with caching enabled are bit-identical to the
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
 from .. import obs
-from ..synth.netlist import asap_schedule, structural_signature
-from .area import delay_contributions
-from .characterize import TemplateModels
+from ..synth.netlist import structural_signature
+from .characterize import Params, TemplateModels
 from .counts import Counts
+from .cycles import PipeSchedule, schedule_pipe
 
 #: Sentinel returned by :meth:`LRUCache.get` on a miss.
 MISS = object()
@@ -169,19 +173,29 @@ class CachedTemplateModels:
         """The characterized device (mirrors :class:`TemplateModels`)."""
         return self._models.device
 
-    def predict(self, key: str, params: Dict[str, object]) -> Counts:
-        """Memoized :meth:`TemplateModels.predict` (value-identical)."""
-        cache_key = (key, tuple(sorted(params.items())))
+    def predict_tuple(
+        self, key: str, params: Tuple[Tuple[str, object], ...]
+    ) -> Tuple[float, ...]:
+        """Memoized :meth:`TemplateModels.predict_tuple` (value-identical).
+
+        ``(key, params)`` is the cache key as given: ``params`` must be
+        sorted by name, as :meth:`predict` and the estimation plans
+        (:mod:`repro.estimation.area`) build it.
+        """
+        cache_key = (key, params)
         hit = self._cache.get(cache_key)
-        if hit is not MISS:
-            return Counts(*hit)  # type: ignore[misc]
-        counts = self._models.predict(key, params)
-        self._cache.put(
-            cache_key,
-            (counts.luts_packable, counts.luts_unpackable, counts.regs,
-             counts.dsps, counts.brams),
-        )
-        return counts
+        if hit is MISS:
+            hit = self._models.predict_tuple(key, params)
+            self._cache.put(cache_key, hit)
+        return hit  # type: ignore[return-value]
+
+    def predict(self, key: str, params: Params) -> Counts:
+        """Memoized :meth:`TemplateModels.predict` (value-identical)."""
+        return Counts(*self.predict_tuple(key, tuple(sorted(params.items()))))
+
+    def prim_key(self, op: str, tp) -> str:
+        """Model key for a primitive op (:meth:`TemplateModels.prim_key`)."""
+        return self._models.prim_key(op, tp)
 
     def predict_prim(self, op: str, tp, width: int) -> Counts:
         """Memoized :meth:`TemplateModels.predict_prim`."""
@@ -189,27 +203,11 @@ class CachedTemplateModels:
         return self.predict(key, {"bits": tp.bits, "width": width})
 
 
-class PipeScheduleInfo(NamedTuple):
-    """Everything the estimator derives from one Pipe body's ASAP schedule."""
-
-    #: Critical-path latency (max ASAP end time; 1 for empty bodies).
-    latency: float
-    #: Delay-balancing contributions in deterministic traversal order.
-    delays: Tuple[Counts, ...]
-
-
-def compute_pipe_info(body) -> PipeScheduleInfo:
-    """Schedule one Pipe body and derive its cacheable summary."""
-    times = asap_schedule(body)
-    latency = max((end for _, end in times.values()), default=1)
-    return PipeScheduleInfo(latency, tuple(delay_contributions(body, times)))
-
-
 class EstimationCaches:
     """The bounded cache bundle one :class:`Estimator` owns.
 
     * ``template`` — memoized template-model predictions;
-    * ``schedule`` — per-Pipe ASAP latency + delay-balancing counts,
+    * ``schedule`` — per-Pipe ASAP latency and delay-edge slacks,
       keyed on :func:`~repro.synth.netlist.structural_signature`.
     """
 
@@ -227,11 +225,13 @@ class EstimationCaches:
             return models
         return CachedTemplateModels(models, self.template)
 
-    def pipe_info(self, pipe, body) -> PipeScheduleInfo:
-        """Schedule summary for ``pipe``'s body, reused across designs.
+    def pipe_info(self, pipe, body) -> PipeSchedule:
+        """:func:`~repro.estimation.cycles.schedule_pipe` of ``pipe``'s
+        body, reused across designs.
 
         The structural signature is memoized on the Pipe node itself so
-        the cycle and area passes of one estimate hash the body once.
+        the cycle and area compilers of one design hash the body once; it
+        holds no vector width, so it stays valid across skeleton re-binds.
         """
         sig = getattr(pipe, "_schedule_sig", None)
         if sig is None:
@@ -239,7 +239,7 @@ class EstimationCaches:
             pipe._schedule_sig = sig
         info = self.schedule.get(sig)
         if info is MISS:
-            info = compute_pipe_info(body)
+            info = schedule_pipe(body)
             self.schedule.put(sig, info)
         return info  # type: ignore[return-value]
 

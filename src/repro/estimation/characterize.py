@@ -197,20 +197,24 @@ class TemplateModels:
 
     def predict(self, key: str, params: Params) -> Counts:
         """Estimate the resources of one template instance."""
-        if key not in self.coefs:
+        return Counts(*self._predict(key, params))
+
+    def predict_tuple(
+        self, key: str, params: Tuple[Tuple[str, object], ...]
+    ) -> Tuple[float, ...]:
+        """:meth:`predict` from ``(name, value)`` pairs, as a plain
+        ``(luts_packable, luts_unpackable, regs, dsps, brams)`` tuple."""
+        return self._predict(key, dict(params))
+
+    def _predict(self, key: str, params: Params) -> Tuple[float, ...]:
+        coefs = self.coefs.get(key)
+        if coefs is None:
             raise KeyError(f"no characterized model for template {key!r}")
         basis = np.array(self.bases[key](params), dtype=float)
-        values = {
-            name: max(float(basis @ coef), 0.0)
-            for name, coef in self.coefs[key].items()
-        }
-        return Counts(
-            values.get("luts_packable", 0.0),
-            values.get("luts_unpackable", 0.0),
-            values.get("regs", 0.0),
-            values.get("dsps", 0.0),
-            values.get("brams", 0.0),
-        )
+        return tuple([
+            max(float(basis @ coefs[name]), 0.0) if name in coefs else 0.0
+            for name in OUTPUTS
+        ])
 
     def prim_key(self, op: str, tp) -> str:
         """Model key for a primitive op on operand type ``tp``."""

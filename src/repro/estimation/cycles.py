@@ -10,19 +10,24 @@ competing accessors.
 The MetaPipe formula is the paper's:
 
     (N - 1) * max(cycles(n) | n in nodes) + sum(cycles(n) for n in nodes)
+
+The recursion is compiled once per design (:class:`CyclePlan`): the tree,
+each controller's kind and every Pipe's schedule are fixed, and running
+the plan reads the bound integers, so one plan prices every point of a
+DSE skeleton's class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .. import obs
 from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
 from ..ir.graph import Design
 from ..ir.memops import TileTransfer
-from ..ir.node import Const
+from ..ir.node import Const, Node
 from ..ir.primitives import op_latency
 from ..synth.netlist import asap_schedule
 from ..target.board import MAIA, Board
@@ -37,7 +42,11 @@ CMD_ISSUE_GAP = 4
 
 @dataclass
 class CycleEstimate:
-    """Estimated execution cycles with a per-controller breakdown."""
+    """Estimated execution cycles with a per-controller breakdown.
+
+    ``per_controller`` is filled by :func:`estimate_cycles`; a DSE replay
+    (:meth:`CyclePlan.total`) leaves it empty.
+    """
 
     total: float
     board: Board
@@ -53,96 +62,186 @@ def estimate_cycles(
 ) -> CycleEstimate:
     """Estimate the total runtime of ``design`` on ``board`` in cycles.
 
-    ``caches`` is an optional
+    Compiles the design's :class:`CyclePlan` and runs it once, recording
+    every controller's cycles. ``caches`` is an optional
     :class:`~repro.estimation.cache.EstimationCaches`; when given, Pipe
-    critical-path latencies are reused across structurally identical
-    bodies (bit-identical to scheduling from scratch).
+    schedules are reused across structurally identical bodies
+    (bit-identical to scheduling from scratch).
     """
     with obs.timed("cycles", "pass.cycles_s", design=design.name) as sp:
         estimate = CycleEstimate(0.0, board)
-        total = 0.0
-        for top in design.top_controllers:
-            total += _controller_cycles(top, board, 0, estimate, caches)
-        estimate.total = total
-        sp.set(cycles=total)
+        estimate.total = CyclePlan(design, board, caches).total(
+            estimate.per_controller
+        )
+        sp.set(cycles=estimate.total)
     return estimate
 
 
-def _controller_cycles(
-    ctrl: Controller,
-    board: Board,
-    contention: int,
-    estimate: CycleEstimate,
-    caches=None,
-) -> float:
+class PipeSchedule(NamedTuple):
+    """What the estimator derives from one Pipe body's ASAP schedule.
+
+    Both fields depend only on the body's structure (latencies and
+    edges), never on vector widths, so one schedule serves every point
+    of a structural class.
+    """
+
+    #: Critical-path latency (max ASAP end time; 1 for an empty body).
+    latency: int
+    #: ``(body position of the delayed input, slack)`` per
+    #: delay-balancing edge, in traversal order (node, then input).
+    delays: Tuple[Tuple[int, int], ...]
+
+
+def pipe_body(pipe: Pipe) -> List[Node]:
+    """The Pipe's scheduled body: its primitive nodes minus constants."""
+    return [n for n in pipe.body_prims if not isinstance(n, Const)]
+
+
+def schedule_pipe(body: List[Node]) -> PipeSchedule:
+    """ASAP-schedule one Pipe body (paper Sections IV-B1 and IV-B2)."""
+    times = asap_schedule(body)
+    latency = max((end for _, end in times.values()), default=1)
+    position = {node.nid: i for i, node in enumerate(body)}
+    delays = []
+    for node in body:
+        start = times[node.nid][0]
+        for inp in getattr(node, "inputs", []):
+            if inp.nid not in times or isinstance(inp, Const):
+                continue
+            slack = start - times[inp.nid][1]
+            if slack > 0:
+                delays.append((position[inp.nid], slack))
+    return PipeSchedule(latency, tuple(delays))
+
+
+def pipe_schedule(pipe: Pipe, caches=None) -> PipeSchedule:
+    """:func:`schedule_pipe` of ``pipe``'s body (through ``caches``)."""
+    body = pipe_body(pipe)
+    if caches is not None:
+        return caches.pipe_info(pipe, body)
+    return schedule_pipe(body)
+
+
+#: A compiled controller: ``run(contention, per_controller) -> cycles``.
+Program = Callable[[int, Optional[Dict[str, float]]], float]
+
+
+class CyclePlan:
+    """The cycle model of one design, compiled over its controller tree.
+
+    Every controller becomes a closure that reads the design's bound
+    integers (``par``, iteration counts, tile sizes) when run, so after a
+    skeleton re-bind (:mod:`repro.ir.skeleton`) the same plan prices the
+    new point. Structure is fixed at compile time: each controller's
+    kind, its children, Pipe critical-path latencies and reduce-drain
+    latencies. Running a top-level program evaluates the tree post-order
+    with the same arithmetic, in the same order, as the recursive model.
+    The replication-weighted transfer counts that set DRAM contention
+    are read through :func:`weighted_transfers`, whose memo a re-bind
+    clears.
+    """
+
+    def __init__(self, design: Design, board: Board, caches=None) -> None:
+        self.board = board
+        self._tops = [
+            _compile(top, board, caches) for top in design.top_controllers
+        ]
+
+    def total(
+        self, per_controller: Optional[Dict[str, float]] = None
+    ) -> float:
+        """Total cycles at the bound point; fills ``per_controller``."""
+        total = 0.0
+        for top in self._tops:
+            total += top(0, per_controller)
+        return total
+
+
+def _compile(ctrl: Controller, board: Board, caches=None) -> Program:
+    """``ctrl``'s program: its kind's rule, recording into the breakdown."""
+    rule = _compile_rule(ctrl, board, caches)
+    label = f"{ctrl.name}#{ctrl.nid}"
+
+    def run(contention: int, per: Optional[Dict[str, float]]) -> float:
+        cycles = rule(contention, per)
+        if per is not None:
+            per[label] = cycles
+        return cycles
+
+    return run
+
+
+def _compile_rule(ctrl: Controller, board: Board, caches=None) -> Program:
     if isinstance(ctrl, TileTransfer):
-        cycles = transfer_cycles(ctrl, board, contention + 1)
-    elif isinstance(ctrl, Pipe):
-        cycles = _pipe_cycles(ctrl, caches)
-    elif isinstance(ctrl, Parallel):
+        return lambda contention, per: transfer_cycles(
+            ctrl, board, contention + 1
+        )
+    if isinstance(ctrl, Pipe):
+        return _pipe_rule(ctrl, caches)
+    children = [(c, _compile(c, board, caches)) for c in ctrl.stages]
+    if isinstance(ctrl, Parallel):
         # Children run concurrently: each child's transfers compete with
         # every *other* child's transfers (plus anything already active).
-        cycles = max(
-            (
-                _controller_cycles(
-                    child, board, _overlap_contention(ctrl, child, contention),
-                    estimate, caches,
-                )
-                for child in ctrl.stages
-            ),
-            default=0.0,
-        )
-        cycles += PARALLEL_SYNC
-    elif isinstance(ctrl, MetaPipe):
-        # Stages overlap in steady state: their transfers compete for DRAM.
-        stage_cycles = [
-            _controller_cycles(
-                child, board, _overlap_contention(ctrl, child, contention),
-                estimate, caches,
+        def parallel(contention, per):
+            cycles = max(
+                (
+                    run(_overlap_contention(ctrl, child, contention), per)
+                    for child, run in children
+                ),
+                default=0.0,
             )
-            for child in ctrl.stages
-        ]
-        stage_cycles = [c + METAPIPE_STAGE_SYNC for c in stage_cycles]
-        n = ctrl.iterations
-        body = (n - 1) * max(stage_cycles, default=0.0) + sum(stage_cycles)
-        cycles = body
-    elif isinstance(ctrl, Sequential):
+            return cycles + PARALLEL_SYNC
+
+        return parallel
+    if isinstance(ctrl, MetaPipe):
+        # Stages overlap in steady state: their transfers compete for DRAM.
+        def metapipe(contention, per):
+            stage_cycles = [
+                run(_overlap_contention(ctrl, child, contention), per)
+                for child, run in children
+            ]
+            stage_cycles = [c + METAPIPE_STAGE_SYNC for c in stage_cycles]
+            n = ctrl.iterations
+            return (n - 1) * max(stage_cycles, default=0.0) + sum(
+                stage_cycles
+            )
+
+        return metapipe
+    if isinstance(ctrl, Sequential):
         # Stages run one at a time, but replicated loop bodies (par > 1)
         # execute concurrently and compete for DRAM.
-        stage_cycles = [
-            _controller_cycles(
-                child,
-                board,
-                contention + (ctrl.par - 1) * weighted_transfers(child),
-                estimate,
-                caches,
-            )
-            for child in ctrl.stages
-        ]
-        per_iter = sum(c + SEQ_STAGE_SYNC for c in stage_cycles)
-        cycles = ctrl.iterations * per_iter
-    else:  # pragma: no cover - exhaustive over controller kinds
-        cycles = 0.0
-    estimate.per_controller[f"{ctrl.name}#{ctrl.nid}"] = cycles
-    return cycles
+        def sequential(contention, per):
+            stage_cycles = [
+                run(contention + (ctrl.par - 1) * weighted_transfers(child),
+                    per)
+                for child, run in children
+            ]
+            per_iter = sum(c + SEQ_STAGE_SYNC for c in stage_cycles)
+            return ctrl.iterations * per_iter
+
+        return sequential
+    return lambda contention, per: 0.0  # pragma: no cover - exhaustive
 
 
-def _pipe_cycles(pipe: Pipe, caches=None) -> float:
+def _pipe_rule(pipe: Pipe, caches=None) -> Program:
     """Latency of one Pipe: critical path + (N-1) at II=1 (+ reduce drain)."""
-    body = [n for n in pipe.body_prims if not isinstance(n, Const)]
-    if caches is not None:
-        latency = caches.pipe_info(pipe, body).latency
-    else:
-        times = asap_schedule(body)
-        latency = max((end for _, end in times.values()), default=1)
-    n = pipe.iterations
-    cycles = PIPE_STARTUP + latency + max(n - 1, 0)
+    latency = pipe_schedule(pipe, caches).latency
+    drain = None
     if pipe.accum is not None and pipe.result is not None:
         tp = getattr(pipe.result, "tp", None)
         if tp is not None:
-            tree_depth = math.ceil(math.log2(pipe.par)) if pipe.par > 1 else 0
-            cycles += (tree_depth + 1) * op_latency(pipe.accum[0], tp)
-    return cycles
+            drain = op_latency(pipe.accum[0], tp)
+
+    def run(contention, per):
+        n = pipe.iterations
+        cycles = PIPE_STARTUP + latency + max(n - 1, 0)
+        if drain is not None:
+            par = pipe.par
+            tree_depth = math.ceil(math.log2(par)) if par > 1 else 0
+            cycles += (tree_depth + 1) * drain
+        return cycles
+
+    return run
 
 
 def transfer_cycles(

@@ -10,21 +10,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .. import obs
 from ..ir.graph import Design
 from ..target.board import MAIA, Board
-from .area import (
-    AreaEstimate,
-    RawArea,
-    corrected_areas,
-    hybrid_area,
-    raw_analysis,
-)
+from .area import AreaEstimate, corrected_areas, hybrid_area
 from .cache import EstimationCaches
 from .characterize import TemplateModels, characterize_templates
 from .cycles import CycleEstimate, estimate_cycles
+from .plan import Analysis, Plan, compile_plan
 from .train import CorrectionModels, train_corrections
 
 
@@ -57,19 +52,6 @@ class Estimate:
     def utilization(self) -> Dict[str, float]:
         """Estimated utilization fraction per device resource class."""
         return self.area.utilization(self.board.device)
-
-
-class Analysis(NamedTuple):
-    """The per-design half of a batched estimate: everything but the NN.
-
-    Holds no reference to the design, so the design may change (a DSE
-    skeleton is re-bound to the next point) once it is analysed.
-    """
-
-    design_name: str
-    cycles: CycleEstimate
-    raw: RawArea
-    features: List[float]
 
 
 class Estimator:
@@ -148,11 +130,21 @@ class Estimator:
             board=self.board,
         )
 
+    def plan(self, design: Design) -> Plan:
+        """Compile ``design``'s estimation plan (:mod:`repro.estimation.plan`).
+
+        The plan prices whatever point the design is bound to when
+        :meth:`Plan.analyze` runs, so a DSE compiles one per skeleton and
+        replays it after every re-bind.
+        """
+        with obs.timed("plan", "pass.plan_s", design=design.name):
+            return compile_plan(
+                design, self.templates, self.board, self.caches
+            )
+
     def analyze(self, design: Design) -> Analysis:
         """Cycles, raw area and NN features of one design (no NN yet)."""
-        cycles = estimate_cycles(design, self.board, self.caches)
-        raw, features = raw_analysis(design, self.templates, self.caches)
-        return Analysis(design.name, cycles, raw, features)
+        return self.plan(design).analyze()
 
     def finish_many(self, analyses: Sequence[Analysis]) -> List[Estimate]:
         """Estimates from :meth:`analyze` results: one vectorized NN pass.

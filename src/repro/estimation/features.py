@@ -22,25 +22,40 @@ N_FEATURES = 11
 
 def design_features(design: Design, raw: Counts, wire_bits: float) -> List[float]:
     """The 11-element feature vector for one design instance."""
-    controllers = list(design.controllers())
-    num_metapipes = sum(1 for c in controllers if isinstance(c, MetaPipe))
-    num_transfers = sum(1 for c in controllers if isinstance(c, TileTransfer))
-    banks = [m.banks for m in design.onchip_mems()] or [1]
-    depth = _max_depth(design)
+    return FeaturePlan(design).replay(raw, wire_bits)
 
-    return [
-        math.log10(1.0 + raw.luts_packable),
-        math.log10(1.0 + raw.luts_unpackable),
-        math.log10(1.0 + raw.regs),
-        math.log10(1.0 + raw.dsps),
-        math.log10(1.0 + raw.brams),
-        math.log10(1.0 + wire_bits),
-        float(len(controllers)),
-        float(num_metapipes),
-        float(num_transfers),
-        float(depth),
-        math.log2(1.0 + sum(banks)),
-    ]
+
+class FeaturePlan:
+    """The feature vector of one design, compiled once per structure.
+
+    Controller, MetaPipe and transfer counts and the nesting depth are
+    structural, so they are fixed at compile time; the total bank count
+    is read from the design's memories at every replay.
+    """
+
+    def __init__(self, design: Design) -> None:
+        controllers = list(design.controllers())
+        self.structure = [
+            float(len(controllers)),
+            float(sum(1 for c in controllers if isinstance(c, MetaPipe))),
+            float(sum(1 for c in controllers if isinstance(c, TileTransfer))),
+            float(_max_depth(design)),
+        ]
+        self._mems = list(design.onchip_mems())
+
+    def replay(self, raw: Counts, wire_bits: float) -> List[float]:
+        """The features of the bound point from its raw counts."""
+        banks = sum(m.banks for m in self._mems) if self._mems else 1
+        return [
+            math.log10(1.0 + raw.luts_packable),
+            math.log10(1.0 + raw.luts_unpackable),
+            math.log10(1.0 + raw.regs),
+            math.log10(1.0 + raw.dsps),
+            math.log10(1.0 + raw.brams),
+            math.log10(1.0 + wire_bits),
+            *self.structure,
+            math.log2(1.0 + banks),
+        ]
 
 
 def _max_depth(design: Design) -> int:

@@ -25,8 +25,8 @@ validations of :func:`~repro.ir.controllers.check_counter_dims`,
 :func:`~repro.ir.memories.check_depth` and
 :func:`~repro.ir.memops.check_tile` (raising :class:`IRError` exactly when
 a fresh build would), then recomputes what depends on the integers:
-``body_replication``, vector widths, banking, and the par-dependent memos
-other layers keep on nodes. Double buffering and scope validation are
+``body_replication``, vector widths, banking, and the par-dependent memo
+the cycles pass keeps on controllers. Double buffering and scope validation are
 structural and stay as the skeleton build computed them. A bind that
 raises leaves the skeleton rebindable: the next bind rewrites every slot.
 
@@ -57,11 +57,9 @@ from .memories import (
 from .node import Const, Node, ParamInt
 from .primitives import LoadOp, StoreOp
 
-#: Memos other layers keep on controllers, derived from ``par``: the
-#: cycles pass's transfer count and the schedule cache's Pipe signature
-#: (which hashes vector widths).
+#: The memo the cycles pass keeps on controllers, derived from ``par``:
+#: the replicated transfer count.
 _REPLICATION_MEMO = "_weighted_transfers"
-_WIDTH_MEMO = "_schedule_sig"
 
 Params = Mapping[str, object]
 #: Skeletons of one builder, by the class key's non-integer part.
@@ -172,8 +170,6 @@ class Skeleton:
                 ctrl.__dict__.pop(_REPLICATION_MEMO, None)
         design._assign_widths(self._width_pipes)
         design._infer_banking(self._bank_mems)
-        for pipe in self._width_pipes:
-            pipe.__dict__.pop(_WIDTH_MEMO, None)
         return design
 
 

@@ -21,9 +21,10 @@ with no scheduler of its own. Per-worker busy fractions land in
 ``dse.worker.*.utilization`` gauges.
 
 Every shard, on either path, is estimated by one loop
-(:func:`run_shard`): bind each point onto its class skeleton, analyse
-it, and correct the analyses in blocks of :data:`BATCH_SIZE` with one
-vectorized NN pass — whether or not the estimator carries caches.
+(:func:`run_shard`): bind each point onto its class skeleton, replay the
+class's estimation plan on it, and correct the analyses in blocks of
+:data:`BATCH_SIZE` with one vectorized NN pass — whether or not the
+estimator carries caches.
 
 Platforms without ``fork`` (Windows, macOS spawn default) fall back to
 the serial path rather than re-training one estimator per worker; the
@@ -46,6 +47,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
 from .. import obs
+from ..estimation.plan import Plan
+from ..ir.graph import Design
 from ..ir.node import IRError
 from ..ir.skeleton import Skeletons, instantiate
 from .checkpoint import CheckpointStore, PointRecord, ShardState
@@ -109,10 +112,11 @@ def run_shard(
 
     Each point's design is instantiated on a skeleton of its structural
     class (:mod:`repro.ir.skeleton`): the first point of a class builds
-    it, later points re-bind its integer parameters in place. Each design
-    is therefore analysed
-    (:meth:`~repro.estimation.estimator.Estimator.analyze`) as soon as it
-    is bound, and the analyses are corrected in blocks of
+    it and compiles its estimation plan
+    (:meth:`~repro.estimation.estimator.Estimator.plan`), later points
+    re-bind its integer parameters in place and replay that plan. Each
+    point is therefore analysed as soon as it is bound, and the analyses
+    are corrected in blocks of
     :data:`BATCH_SIZE` through
     :meth:`~repro.estimation.estimator.Estimator.finish_many`, one
     vectorized NN pass per block. This is the only loop, with or without
@@ -133,8 +137,10 @@ def run_shard(
         if on_point is not None:
             on_point(record)
 
-    # Skeletons live for this call only: every shard pays its own builds.
+    # Skeletons and their plans live for this call only: every shard
+    # pays its own builds and compiles.
     skeletons: Skeletons = {}
+    plans: Dict[Design, Plan] = {}
     build = functools.partial(benchmark.build, dataset)
     pending: List[tuple] = []  # (index, params, analysis, latency_s)
 
@@ -164,7 +170,10 @@ def run_shard(
             emit(PointRecord(index, dict(params), None,
                              time.perf_counter() - t0))
             continue
-        pending.append((index, params, estimator.analyze(design),
+        plan = plans.get(design)
+        if plan is None:
+            plan = plans[design] = estimator.plan(design)
+        pending.append((index, params, plan.analyze(),
                         time.perf_counter() - t0))
         if len(pending) >= BATCH_SIZE:
             flush()

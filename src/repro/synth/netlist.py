@@ -251,15 +251,15 @@ def structural_signature(body: List[Node]) -> Tuple:
     """Position-based structural hash key of a Pipe body.
 
     Two bodies with equal signatures produce identical ASAP schedules
-    (up to node-id renaming) and identical delay-balancing resource
-    counts, so the estimator can reuse both across design points that
-    only vary tile sizes or metapipe toggles (``repro.estimation.cache``).
+    (up to node-id renaming), so the estimator can reuse a body's critical
+    path and delay-edge slacks across designs and across every point of a
+    structural class (``repro.estimation.cache``).
 
     The signature captures exactly what :func:`asap_schedule` and the
-    slack walk consume: each node's latency and, per in-body input, its
-    body position plus the bit-width that sizes a delay element.
-    Out-of-body inputs never move a start time and constants never need
-    delay balancing, so both are excluded.
+    slack walk consume: each node's latency and the body positions of its
+    in-body inputs. Out-of-body inputs never move a start time and
+    constants never need delay balancing, so both are excluded. Vector
+    widths are excluded too: they size a delay element, not its slack.
     """
     pos = {node.nid: i for i, node in enumerate(body)}
     sig = []
@@ -271,7 +271,7 @@ def structural_signature(body: List[Node]) -> Tuple:
         else:
             lat = 0
         inputs = tuple(
-            (pos[inp.nid], inp.tp.bits, max(inp.width, 1))
+            pos[inp.nid]
             for inp in getattr(node, "inputs", [])
             if inp.nid in pos and not isinstance(inp, Const)
         )

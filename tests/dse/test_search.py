@@ -84,20 +84,18 @@ class TestLocalSearch:
     # or prices its points must not move them.
     PINNED = {
         ("tpchq6", 4): (
-            {"tile": 7488, "par": 32, "par_mem": 16, "metapipe": True},
+            {"tile": 6400, "par": 32, "par_mem": 16, "metapipe": True},
             40,
-            [24100271.0] * 2 + [24100161.0] + [23497664.0] * 2
-            + [23497611.0] * 2 + [23497588.0, 9457588.0]
-            + [5975668.0] * 10 + [5294409.0] * 2 + [5293480.0]
-            + [5293019.0] * 2 + [5292792.0] * 3 + [1810872.0] * 13,
+            [24100271.0] * 4 + [10200290.008] * 4 + [2537065.048] * 3
+            + [1933333.0000000002] * 12 + [1920953.4000000001] * 17,
         ),
         ("gda", 5): (
             {"tile_rows": 360, "par_sub": 16, "par_outer": 48,
              "par_row": 4, "par_mem": 16, "m1": True, "m2": True},
             40,
-            [34845403.0] + [34844323.0] * 2 + [34843783.0]
-            + [34842005.0] * 4 + [34833365.0] * 3 + [18576701.0] * 8
-            + [18568475.0] * 21,
+            [34845403.0] * 22 + [34842023.0] * 2 + [34842011.0] * 2
+            + [27222701.0] * 4 + [18582701.0] * 2 + [18576701.0] * 3
+            + [18568475.0] * 5,
         ),
     }
 
